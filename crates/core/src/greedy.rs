@@ -114,17 +114,15 @@ pub struct DiscoveryOptions {
     /// (keeping the old snapshot) rather than block a swap thread on an
     /// unplanned multi-second rebuild.
     pub pll_load_only: bool,
-    /// How `pll_index_path` loads materialize the index:
-    /// [`IndexLoadMode::Owned`] (default) decodes the file into owned
-    /// storage with full structural validation, while
-    /// [`IndexLoadMode::Mmap`] memory-maps it and borrows the label
-    /// planes straight from the page cache — zero decode, zero copy for
-    /// format-v2 files (v1 files transparently fall back to the owned
-    /// decode). Queries are bit-identical either way; mmap trades load
-    /// time and private RSS for checksum-level (rather than per-entry)
-    /// validation and query-time page-ins. Applies to the base index and
-    /// the per-γ sidecars alike; saves are unaffected (a save from an
-    /// mmap-loaded engine copies on write, never touching the mapping).
+    /// Where the bytes of a `pll_index_path` load live:
+    /// [`IndexLoadMode::Owned`] (default) reads the file into a private
+    /// heap buffer, while [`IndexLoadMode::Mmap`] memory-maps it and
+    /// shares the page cache. Either way the label planes are borrowed
+    /// from those bytes in place, the same full structural validation
+    /// runs, the same bytes give the same error, and queries are
+    /// bit-identical. Applies to the base index and the per-γ sidecars
+    /// alike; saves are unaffected (mutating a loaded engine copies on
+    /// write, never touching the loaded bytes).
     pub pll_load_mode: IndexLoadMode,
     /// Retry policy for the persistence I/O of the cold start (the
     /// index load, and the save-after-build). Only transient I/O errors
@@ -171,21 +169,8 @@ impl RankingContext {
         }
     }
 
-    /// The load-or-build cold start: load the index from `path` when its
-    /// snapshot fingerprint matches `graph` and its storage backend
-    /// matches `options.pll_build.storage`; otherwise build normally and
-    /// save the result to `path`. Both the load and the save run under
-    /// `options.pll_retry` (transient I/O retried with capped backoff).
-    ///
-    /// Failure handling is graceful in both directions: a load failure
-    /// silently falls back to the build (unless `options.pll_load_only`,
-    /// which turns it into [`DiscoveryError::IndexLoad`] — the strict
-    /// mode a snapshot-swap thread wants), and a **save** failure after
-    /// a successful build degrades to a recorded warning (the second
-    /// tuple element) — the in-memory index is fine, so a read-only
-    /// index directory must not kill the run.
-    /// [`DiscoveryOptions::pll_load_mode`] dispatch: decode into owned
-    /// storage or memory-map and borrow, under the same retry policy.
+    /// [`DiscoveryOptions::pll_load_mode`] dispatch: read into a heap
+    /// buffer or memory-map, under the same retry policy.
     fn load_index(
         path: &Path,
         graph: &ExpertGraph,
@@ -201,6 +186,19 @@ impl RankingContext {
         }
     }
 
+    /// The load-or-build cold start: load the index from `path` when its
+    /// snapshot fingerprint matches `graph` and its storage backend
+    /// matches `options.pll_build.storage`; otherwise build normally and
+    /// save the result to `path`. Both the load and the save run under
+    /// `options.pll_retry` (transient I/O retried with capped backoff).
+    ///
+    /// Failure handling is graceful in both directions: a load failure
+    /// silently falls back to the build (unless `options.pll_load_only`,
+    /// which turns it into [`DiscoveryError::IndexLoad`] — the strict
+    /// mode a snapshot-swap thread wants), and a **save** failure after
+    /// a successful build degrades to a recorded warning (the second
+    /// tuple element) — the in-memory index is fine, so a read-only
+    /// index directory must not kill the run.
     fn load_or_build(
         graph: ExpertGraph,
         options: &DiscoveryOptions,
@@ -519,8 +517,8 @@ impl Discovery {
     }
 
     /// Whether the base (CC) index's label planes are borrowed from a
-    /// memory-mapped index file instead of owned — `true` only when the
-    /// engine loaded a format-v2 file under
+    /// memory-mapped index file — `true` only when the engine loaded its
+    /// index under
     /// [`IndexLoadMode::Mmap`](DiscoveryOptions::pll_load_mode). Every
     /// mutation path (incremental refresh, checkpoint saves) copies on
     /// write, so a `true` here never means the file itself is at risk.

@@ -403,10 +403,10 @@ impl CompressedLabelSet {
 
     /// True when any plane borrows from a mapped index file.
     pub(crate) fn is_zero_copy(&self) -> bool {
-        self.offsets.is_borrowed()
-            || self.byte_offsets.is_borrowed()
-            || self.rank_bytes.is_borrowed()
-            || self.dists.is_borrowed()
+        self.offsets.is_mapped()
+            || self.byte_offsets.is_mapped()
+            || self.rank_bytes.is_mapped()
+            || self.dists.is_mapped()
     }
 
     /// Computes summary statistics. `bytes` counts all four arrays —
@@ -633,7 +633,9 @@ impl LabelStore {
     /// True when any plane of the active backend borrows from a mapped
     /// index file (the store came through
     /// [`LabelStore::load_mmap`](crate::persist) and its planes alias the
-    /// page cache rather than owning copies).
+    /// page cache). A store loaded from a heap copy of the file
+    /// ([`LabelStore::load_from`](crate::persist)) also borrows its
+    /// planes, but reports `false`: it owns a private copy of the bytes.
     pub fn is_zero_copy(&self) -> bool {
         match self {
             LabelStore::Csr(l) => l.is_zero_copy(),

@@ -154,11 +154,11 @@ impl CodePlane {
     }
 
     /// True when the codes borrow from a mapped index file.
-    fn is_borrowed(&self) -> bool {
+    fn is_mapped(&self) -> bool {
         match self {
-            CodePlane::U8(v) => v.is_borrowed(),
-            CodePlane::U16(v) => v.is_borrowed(),
-            CodePlane::U32(v) => v.is_borrowed(),
+            CodePlane::U8(v) => v.is_mapped(),
+            CodePlane::U16(v) => v.is_mapped(),
+            CodePlane::U32(v) => v.is_mapped(),
         }
     }
 }
@@ -249,7 +249,7 @@ impl DistDict {
 
     /// True when the table or code plane borrows from a mapped file.
     pub(crate) fn is_zero_copy(&self) -> bool {
-        self.table.is_borrowed() || self.codes.is_borrowed()
+        self.table.is_mapped() || self.codes.is_mapped()
     }
 }
 
@@ -515,7 +515,7 @@ impl DictLabelSet {
 
     /// True when any plane borrows from a mapped index file.
     pub(crate) fn is_zero_copy(&self) -> bool {
-        self.offsets.is_borrowed() || self.hub_ranks.is_borrowed() || self.dists.is_zero_copy()
+        self.offsets.is_mapped() || self.hub_ranks.is_mapped() || self.dists.is_zero_copy()
     }
 }
 
@@ -760,9 +760,9 @@ impl CompressedDictLabelSet {
 
     /// True when any plane borrows from a mapped index file.
     pub(crate) fn is_zero_copy(&self) -> bool {
-        self.offsets.is_borrowed()
-            || self.byte_offsets.is_borrowed()
-            || self.rank_bytes.is_borrowed()
+        self.offsets.is_mapped()
+            || self.byte_offsets.is_mapped()
+            || self.rank_bytes.is_mapped()
             || self.dists.is_zero_copy()
     }
 }

@@ -311,7 +311,7 @@ impl LabelSet {
 
     /// True when any plane borrows from a mapped index file.
     pub(crate) fn is_zero_copy(&self) -> bool {
-        self.offsets.is_borrowed() || self.hub_ranks.is_borrowed() || self.dists.is_borrowed()
+        self.offsets.is_mapped() || self.hub_ranks.is_mapped() || self.dists.is_mapped()
     }
 
     /// Computes summary statistics.

@@ -1,19 +1,22 @@
-//! Read-only file mappings for zero-copy index loading.
+//! Read-only, 8-byte-aligned byte regions that index loads borrow from.
 //!
-//! [`MmapRegion`] maps a persisted index file into the address space so
-//! [`crate::persist`]'s v2 loader can borrow label planes straight out of
-//! the page cache instead of decoding them into owned `Vec`s. The region
-//! is reference-counted (`Arc<MmapRegion>`): every borrowed
-//! [`crate::plane::Plane`] holds a clone, so the mapping lives exactly as
-//! long as the last plane (and, through the serve layer, the last
-//! in-flight request pinning a snapshot built over it).
+//! [`MmapRegion`] holds the bytes of a persisted index file so
+//! [`crate::persist`]'s one reader can borrow label planes straight out
+//! of it instead of decoding them into owned `Vec`s. The bytes either
+//! live in a kernel mapping of the file ([`MmapRegion::map_file`]) or in
+//! an 8-byte-aligned heap buffer filled by one `read`
+//! ([`MmapRegion::read_file`], [`MmapRegion::from_bytes`]); the reader
+//! cannot tell the two apart. The region is reference-counted
+//! (`Arc<MmapRegion>`): every borrowed [`crate::plane::Plane`] holds a
+//! clone, so the bytes live exactly as long as the last plane (and,
+//! through the serve layer, the last in-flight request pinning a
+//! snapshot built over it).
 //!
 //! The build environment has no registry access, so instead of `memmap2`
 //! this module issues the two syscalls it needs (`mmap`, `munmap`)
-//! directly via inline assembly on Linux x86_64/aarch64 and falls back to
-//! an 8-byte-aligned heap buffer everywhere else (and for empty files,
-//! which `mmap` rejects with `EINVAL`). The heap fallback still skips all
-//! plane *decoding* — it costs one `read` of the file instead of zero.
+//! directly via inline assembly on Linux x86_64/aarch64; `map_file`
+//! falls back to the heap buffer everywhere else (and for empty files,
+//! which `mmap` rejects with `EINVAL`).
 //!
 //! # Safety contract
 //!
@@ -166,9 +169,10 @@ enum Repr {
 /// A read-only, 8-byte-aligned view of an index file, shared by every
 /// plane borrowed from it.
 ///
-/// Obtain one with [`MmapRegion::map_file`]; it is always returned inside
-/// an [`Arc`] because its whole purpose is to outlive the loader and be
-/// pinned by borrowed [`crate::plane::Plane`]s.
+/// Obtain one with [`MmapRegion::map_file`], [`MmapRegion::read_file`]
+/// or [`MmapRegion::from_bytes`]; it is always returned inside an [`Arc`]
+/// because its whole purpose is to outlive the loader and be pinned by
+/// borrowed [`crate::plane::Plane`]s.
 pub struct MmapRegion {
     repr: Repr,
 }
@@ -184,15 +188,7 @@ impl MmapRegion {
     /// x86_64/aarch64; everywhere else (and for empty files) reads the
     /// file into an 8-byte-aligned heap buffer instead.
     pub fn map_file(path: &Path) -> io::Result<Arc<MmapRegion>> {
-        let mut file = File::open(path)?;
-        let len = file.metadata()?.len();
-        if len > usize::MAX as u64 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "index file exceeds the address space",
-            ));
-        }
-        let len = len as usize;
+        let (file, len) = open_with_len(path)?;
 
         #[cfg(all(
             target_os = "linux",
@@ -208,11 +204,35 @@ impl MmapRegion {
             }));
         }
 
+        MmapRegion::heap(len, |dst| (&file).read_exact(dst))
+    }
+
+    /// Read `path` into a private 8-byte-aligned heap buffer — one
+    /// `read`, no mapping, on every target.
+    pub fn read_file(path: &Path) -> io::Result<Arc<MmapRegion>> {
+        let (file, len) = open_with_len(path)?;
+        MmapRegion::heap(len, |dst| (&file).read_exact(dst))
+    }
+
+    /// Copy `bytes` into a private 8-byte-aligned heap buffer.
+    pub fn from_bytes(bytes: &[u8]) -> Arc<MmapRegion> {
+        MmapRegion::heap(bytes.len(), |dst| {
+            dst.copy_from_slice(bytes);
+            Ok(())
+        })
+        .expect("copying into memory cannot fail")
+    }
+
+    /// A zeroed `u64` buffer spanning `len` bytes, filled by `fill`.
+    fn heap(
+        len: usize,
+        fill: impl FnOnce(&mut [u8]) -> io::Result<()>,
+    ) -> io::Result<Arc<MmapRegion>> {
         let mut buf = vec![0u64; len.div_ceil(8)];
         // SAFETY: a `Vec<u64>` of ⌈len/8⌉ words spans at least `len`
         // initialized bytes; viewing them as `u8` is always valid.
         let dst = unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr() as *mut u8, len) };
-        file.read_exact(dst)?;
+        fill(dst)?;
         Ok(Arc::new(MmapRegion {
             repr: Repr::Heap { buf, len },
         }))
@@ -257,7 +277,7 @@ impl MmapRegion {
     }
 
     /// True when backed by a live kernel mapping (page-cache sharing);
-    /// false for the heap fallback.
+    /// false for a heap buffer.
     pub fn is_mapped(&self) -> bool {
         match &self.repr {
             #[cfg(all(
@@ -274,6 +294,19 @@ impl MmapRegion {
     pub fn native_mmap_supported() -> bool {
         NATIVE_MMAP
     }
+}
+
+/// Opens `path` and returns it with its length, refusing files larger
+/// than the address space.
+fn open_with_len(path: &Path) -> io::Result<(File, usize)> {
+    let file = File::open(path)?;
+    let len = usize::try_from(file.metadata()?.len()).map_err(|_| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            "index file exceeds the address space",
+        )
+    })?;
+    Ok((file, len))
 }
 
 impl Drop for MmapRegion {

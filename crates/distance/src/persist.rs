@@ -13,21 +13,24 @@
 //! byte stream** the label decoders ever see. The header carries a magic,
 //! a format version, the storage tag, a snapshot fingerprint (node count,
 //! entry count, and a hash of the graph's edge/weight stream) so stale
-//! indexes are rejected, and an FNV-1a checksum over the payload.
-//! Loading validates every structural invariant the unchecked hot-path
-//! decoders rely on — offsets monotone and in range, varint blocks
-//! well-formed (via the checked decoder in `codec.rs`), dictionary codes
-//! inside the table — and returns [`PersistError`], **never panics**, on
-//! any malformed input. See `crates/distance/src/README.md` for the
-//! byte-level format specification.
+//! indexes are rejected, and a checksum over the payload. Loading
+//! validates every structural invariant the unchecked hot-path decoders
+//! rely on — offsets monotone and in range, ranks strictly ascending,
+//! varint blocks well-formed (via the checked decoder in `codec.rs`),
+//! dictionary codes inside the table — and returns [`PersistError`],
+//! **never panics**, on any malformed input. See
+//! `crates/distance/src/README.md` for the byte-level format
+//! specification.
 //!
-//! Format **v2** lays every plane out 8-byte-aligned (length-prefixed,
-//! zero-padded, with a leading `max_rank` word and a word-lane payload
-//! checksum) so that [`LabelStore::load_mmap`] /
-//! [`PrunedLandmarkLabeling::load_mmap`] can memory-map a file and
-//! borrow the planes in place — zero decode, zero copy, bit-identical
-//! queries ([`IndexLoadMode`] selects between the two load paths).
-//! v1 files remain readable through the owned decode path.
+//! Format **v2** is the only format. It lays every plane out
+//! 8-byte-aligned (length-prefixed, zero-padded, with a leading
+//! `max_rank` word and a word-lane payload checksum), so one reader
+//! serves every load: it borrows each plane in place out of an
+//! 8-byte-aligned [`MmapRegion`] and runs the same validation whatever
+//! backs the region. [`IndexLoadMode`] only chooses where the region's
+//! bytes come from — a heap buffer filled by one `read`
+//! ([`LabelStore::load_from`]) or a memory mapping of the file
+//! ([`LabelStore::load_mmap`]). Queries are bit-identical either way.
 //!
 //! Typical use is the load-or-build cold start
 //! (`DiscoveryOptions::pll_index_path` in `atd-core` wires this up
@@ -75,39 +78,32 @@ use crate::pll::PrunedLandmarkLabeling;
 /// File magic, the first four bytes of every index dump.
 pub const MAGIC: [u8; 4] = *b"ATDL";
 
-/// Current on-disk format version: 8-byte-aligned planes and a word-lane
-/// checksum, the layout [`LabelStore::load_mmap`] borrows in place.
+/// The on-disk format version, the only one this build reads or writes:
+/// 8-byte-aligned planes and a word-lane checksum, the layout every load
+/// borrows in place.
 pub const FORMAT_VERSION: u16 = 2;
 
-/// The unaligned byte-packed v1 layout. Still readable (decoded into
-/// owned storage, never borrowed); no longer written except by the
-/// hidden legacy writer the compatibility tests use.
-pub const LEGACY_FORMAT_VERSION: u16 = 1;
-
 /// Fixed header length in bytes (see the format spec in
-/// `crates/distance/src/README.md`). A multiple of 8, so v2 payload
-/// offsets are file offsets modulo alignment.
+/// `crates/distance/src/README.md`). A multiple of 8, so payload offsets
+/// are file offsets modulo alignment.
 pub const HEADER_LEN: usize = 48;
 
-/// How `DiscoveryOptions::pll_index_path`-style cold starts materialize
-/// a persisted index in memory.
+/// Where `DiscoveryOptions::pll_index_path`-style cold starts keep the
+/// bytes of a persisted index.
 ///
-/// Both modes produce bit-identical query results; they differ only in
-/// where the label planes live and what loading costs.
+/// Both modes run the same reader and the same full validation, return
+/// the same error for the same bytes, and produce bit-identical query
+/// results; they differ only in where the label planes live.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum IndexLoadMode {
-    /// Decode the file into owned `Vec` planes
-    /// ([`PrunedLandmarkLabeling::load_from`]), running the full
-    /// structural validation suite. Portable, defensive, `O(payload)`
-    /// decode work.
+    /// Read the file into a private 8-byte-aligned heap buffer and
+    /// borrow the planes from it ([`PrunedLandmarkLabeling::load_from`]).
+    /// Portable; costs one `read` of the file.
     #[default]
     Owned,
     /// Memory-map the file and borrow every plane straight from the page
-    /// cache ([`PrunedLandmarkLabeling::load_mmap`]) — zero decode, zero
-    /// copy for format-v2 files. Validation is the payload checksum plus
-    /// `O(nodes)` metadata checks; v1 files fall back to the owned
-    /// decode path. First-touch page-ins are charged to queries instead
-    /// of load time.
+    /// cache ([`PrunedLandmarkLabeling::load_mmap`]) — no copy, and the
+    /// pages are shared with every other process mapping the same file.
     Mmap,
 }
 
@@ -123,8 +119,8 @@ pub enum PersistError {
     Io(std::io::Error),
     /// The file does not start with [`MAGIC`] — not an index dump.
     BadMagic,
-    /// The file's format version is newer than [`FORMAT_VERSION`] (or
-    /// zero) — this build reads versions 1 and 2 only.
+    /// The file's format version is not [`FORMAT_VERSION`] — this build
+    /// reads version 2 only.
     UnsupportedVersion(u16),
     /// The header's storage tag names no known [`LabelStorage`] backend.
     BadStorageTag(u8),
@@ -158,7 +154,7 @@ impl fmt::Display for PersistError {
                 write!(
                     f,
                     "unsupported index format version {v} (this build reads \
-                     {LEGACY_FORMAT_VERSION}..={FORMAT_VERSION})"
+                     version {FORMAT_VERSION} only)"
                 )
             }
             PersistError::BadStorageTag(t) => write!(f, "unknown label storage tag {t}"),
@@ -340,7 +336,7 @@ impl SnapshotFingerprint {
             return Err(PersistError::BadMagic);
         }
         let version = u16::from_le_bytes(bytes[4..6].try_into().expect("2 bytes"));
-        if !(LEGACY_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(PersistError::UnsupportedVersion(version));
         }
         let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
@@ -461,10 +457,10 @@ fn compute_graph_fingerprint(g: &ExpertGraph) -> u64 {
 /// interleaved lanes over 512-byte blocks, each lane absorbing eight
 /// little-endian `u64` words — one through the FNV xor-multiply step,
 /// seven through xor at distinct rotations — folded together with the
-/// tail bytes and the payload length through the FNV step. The v1
-/// checksum pays one multiply per *byte*; this pays one per 64 bytes
-/// per lane, which takes the mmap load path's single full-payload pass
-/// from multiply-throughput bound to memory-bandwidth bound. Every
+/// tail bytes and the payload length through the FNV step. A byte-wise
+/// FNV-1a pays one multiply per *byte*; this pays one per 64 bytes per
+/// lane, which takes the load path's full-payload pass from
+/// multiply-throughput bound to memory-bandwidth bound. Every
 /// absorption is bijective in the lane state, so corrupting any single
 /// byte (or truncating anywhere) changes the final value
 /// deterministically — the property the corruption suite drives
@@ -500,14 +496,6 @@ pub fn checksum(payload: &[u8]) -> u64 {
     }
     h.absorb_u64(tail.0);
     h.absorb_u64(payload.len() as u64);
-    h.0
-}
-
-/// The byte-wise FNV-1a-64 checksum format v1 stored; kept so legacy
-/// files still verify (and so the hidden v1 writer can seal them).
-fn checksum_v1(payload: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.write(payload);
     h.0
 }
 
@@ -639,196 +627,134 @@ fn sweep_dir_with(dir: &Path, applies: impl Fn(&str) -> bool) -> usize {
 // ---------------------------------------------------------------------
 
 /// Serializes planes as `[len: u64][data]`, zero-padding each plane's
-/// data to the next 8-byte boundary when `aligned` (format v2 — what
-/// lets the mmap loader reinterpret planes in place). With `aligned`
-/// off it reproduces the byte-packed v1 layout exactly.
+/// data to the next 8-byte boundary — what lets the reader borrow every
+/// plane in place.
+#[derive(Default)]
 struct PayloadWriter {
     out: Vec<u8>,
-    aligned: bool,
 }
 
 impl PayloadWriter {
-    fn new(aligned: bool) -> PayloadWriter {
-        PayloadWriter {
-            out: Vec::new(),
-            aligned,
-        }
-    }
-
     fn u64(&mut self, v: u64) {
         self.out.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Pads to the next 8-byte payload boundary (v2 only). The header is
-    /// itself [`HEADER_LEN`] = 48 bytes, so payload-relative alignment
-    /// is absolute file alignment.
-    fn pad(&mut self) {
-        if self.aligned {
-            while !self.out.len().is_multiple_of(8) {
-                self.out.push(0);
-            }
-        }
-    }
-
-    fn u32_slice(&mut self, v: &[u32]) {
+    /// One length-prefixed plane, each element written through `le`,
+    /// padded to the next 8-byte payload boundary. The header is itself
+    /// [`HEADER_LEN`] = 48 bytes, so payload-relative alignment is
+    /// absolute file alignment.
+    fn plane<T: Copy, const N: usize>(&mut self, v: &[T], le: impl Fn(T) -> [u8; N]) {
         self.u64(v.len() as u64);
         for &x in v {
-            self.out.extend_from_slice(&x.to_le_bytes());
+            self.out.extend_from_slice(&le(x));
         }
-        self.pad();
-    }
-
-    fn u16_slice(&mut self, v: &[u16]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.out.extend_from_slice(&x.to_le_bytes());
+        while !self.out.len().is_multiple_of(8) {
+            self.out.push(0);
         }
-        self.pad();
-    }
-
-    fn u8_slice(&mut self, v: &[u8]) {
-        self.u64(v.len() as u64);
-        self.out.extend_from_slice(v);
-        self.pad();
-    }
-
-    fn f64_slice(&mut self, v: &[f64]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.out.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        self.pad();
     }
 
     fn dict(&mut self, dict: &DistDict) {
-        self.f64_slice(&dict.table);
-        let width: u8 = match &dict.codes {
-            CodePlane::U8(_) => 1,
-            CodePlane::U16(_) => 2,
-            CodePlane::U32(_) => 4,
-        };
-        // v1 spent a single byte on the code width; v2 spends a whole
-        // word so the code plane's length prefix stays aligned.
-        if self.aligned {
-            self.u64(width as u64);
-        } else {
-            self.out.push(width);
-        }
+        self.plane(&dict.table, |d: f64| d.to_bits().to_le_bytes());
+        // The width takes a whole word so the code plane's length
+        // prefix stays aligned.
         match &dict.codes {
-            CodePlane::U8(c) => self.u8_slice(c),
-            CodePlane::U16(c) => self.u16_slice(c),
-            CodePlane::U32(c) => self.u32_slice(c),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Payload reader (bounds-checked cursor over untrusted bytes)
-// ---------------------------------------------------------------------
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    /// Format v2: every plane's data is zero-padded to the next 8-byte
-    /// boundary, skipped (and checked) after each slice read.
-    aligned: bool,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8], aligned: bool) -> Cursor<'a> {
-        Cursor {
-            buf,
-            pos: 0,
-            aligned,
-        }
-    }
-
-    /// Consumes the zero padding a v2 writer emitted after a plane; a
-    /// nonzero pad byte means the file was not produced by our writer.
-    fn skip_pad(&mut self) -> Result<(), PersistError> {
-        if self.aligned && !self.pos.is_multiple_of(8) {
-            let pad = self.bytes(8 - self.pos % 8)?;
-            if pad.iter().any(|&b| b != 0) {
-                return Err(PersistError::Corrupt("nonzero plane padding byte"));
+            CodePlane::U8(c) => {
+                self.u64(1);
+                self.plane(c, |x: u8| [x]);
+            }
+            CodePlane::U16(c) => {
+                self.u64(2);
+                self.plane(c, u16::to_le_bytes);
+            }
+            CodePlane::U32(c) => {
+                self.u64(4);
+                self.plane(c, u32::to_le_bytes);
             }
         }
-        Ok(())
     }
+}
 
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
-        let end = self.pos.checked_add(n).ok_or(PersistError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(PersistError::Truncated);
+// ---------------------------------------------------------------------
+// Payload reader (bounds-checked cursor over an aligned region)
+// ---------------------------------------------------------------------
+
+/// The one payload reader, shared by every load mode. Walks the payload
+/// of an 8-byte-aligned [`MmapRegion`] — a kernel mapping or a heap
+/// buffer, the reader cannot tell — and hands each `[len: u64][data][pad8]`
+/// plane back as a [`Plane::borrowed`] view into it: no decode, no copy.
+/// Every length prefix is checked against the remaining payload before
+/// anything is borrowed, every pad byte must be zero, and alignment
+/// (guaranteed by the writer's padding) is re-checked by
+/// `Plane::borrowed` anyway.
+struct BorrowCursor<'a> {
+    region: &'a Arc<MmapRegion>,
+    payload_len: usize,
+    /// Payload-relative position; the plane's absolute byte offset is
+    /// `HEADER_LEN + pos`.
+    pos: usize,
+}
+
+impl<'a> BorrowCursor<'a> {
+    fn new(region: &'a Arc<MmapRegion>) -> BorrowCursor<'a> {
+        BorrowCursor {
+            region,
+            payload_len: region.as_bytes().len() - HEADER_LEN,
+            pos: 0,
         }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, PersistError> {
-        Ok(self.bytes(1)?[0])
     }
 
     fn u64(&mut self) -> Result<u64, PersistError> {
-        let b = self.bytes(8)?;
+        let end = self.pos.checked_add(8).ok_or(PersistError::Truncated)?;
+        if end > self.payload_len {
+            return Err(PersistError::Truncated);
+        }
+        let b = &self.region.as_bytes()[HEADER_LEN + self.pos..HEADER_LEN + end];
+        self.pos = end;
         Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
     }
 
-    /// Reads a length prefix, refusing counts the remaining bytes cannot
-    /// possibly hold — a malicious length field must fail *before* any
-    /// allocation, not OOM on it.
-    fn len_prefix(&mut self, elem_size: usize) -> Result<usize, PersistError> {
-        let n = self.u64()?;
-        let remaining = (self.buf.len() - self.pos) as u64;
-        if n.checked_mul(elem_size as u64)
-            .ok_or(PersistError::Truncated)?
-            > remaining
-        {
+    /// Reads one `[len: u64][data][pad8]` plane as a borrow into the
+    /// region. A count the remaining bytes cannot hold fails before
+    /// anything is borrowed.
+    fn plane<T: PlanePod>(&mut self) -> Result<Plane<T>, PersistError> {
+        let n = usize::try_from(self.u64()?).map_err(|_| PersistError::Truncated)?;
+        let end = n
+            .checked_mul(std::mem::size_of::<T>())
+            .and_then(|len| self.pos.checked_add(len))
+            .ok_or(PersistError::Truncated)?;
+        let padded = end
+            .checked_add(end.wrapping_neg() % 8)
+            .ok_or(PersistError::Truncated)?;
+        if padded > self.payload_len {
             return Err(PersistError::Truncated);
         }
-        Ok(n as usize)
+        // A nonzero pad byte means the file was not produced by our
+        // writer.
+        let pad = &self.region.as_bytes()[HEADER_LEN + end..HEADER_LEN + padded];
+        if pad.iter().any(|&b| b != 0) {
+            return Err(PersistError::Corrupt("nonzero plane padding byte"));
+        }
+        let plane = Plane::borrowed(self.region, HEADER_LEN + self.pos, n)
+            .ok_or(PersistError::Corrupt("plane misaligned"))?;
+        self.pos = padded;
+        Ok(plane)
     }
 
-    fn u32_vec(&mut self) -> Result<Vec<u32>, PersistError> {
-        let n = self.len_prefix(4)?;
-        let raw = self.bytes(n * 4)?;
-        let v = raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-            .collect();
-        self.skip_pad()?;
-        Ok(v)
-    }
-
-    fn u16_vec(&mut self) -> Result<Vec<u16>, PersistError> {
-        let n = self.len_prefix(2)?;
-        let raw = self.bytes(n * 2)?;
-        let v = raw
-            .chunks_exact(2)
-            .map(|c| u16::from_le_bytes(c.try_into().expect("2-byte chunk")))
-            .collect();
-        self.skip_pad()?;
-        Ok(v)
-    }
-
-    fn u8_vec(&mut self) -> Result<Vec<u8>, PersistError> {
-        let n = self.len_prefix(1)?;
-        let v = self.bytes(n)?.to_vec();
-        self.skip_pad()?;
-        Ok(v)
-    }
-
-    fn f64_vec(&mut self) -> Result<Vec<f64>, PersistError> {
-        let n = self.len_prefix(8)?;
-        let raw = self.bytes(n * 8)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8-byte chunk"))))
-            .collect())
+    /// The value table, the width word, then the code plane at that
+    /// width.
+    fn dict(&mut self) -> Result<DistDict, PersistError> {
+        let table = self.plane()?;
+        let codes = match self.u64()? {
+            1 => CodePlane::U8(self.plane()?),
+            2 => CodePlane::U16(self.plane()?),
+            4 => CodePlane::U32(self.plane()?),
+            _ => return Err(PersistError::Corrupt("unknown code width")),
+        };
+        Ok(DistDict { table, codes })
     }
 
     fn finish(&self) -> Result<(), PersistError> {
-        if self.pos != self.buf.len() {
+        if self.pos != self.payload_len {
             return Err(PersistError::Corrupt("trailing bytes after payload"));
         }
         Ok(())
@@ -861,8 +787,7 @@ fn validate_offsets(offsets: &[u32], nodes: usize, entries: usize) -> Result<(),
 /// slice (what the merge-join and scatter scans rely on). Returns the
 /// maximum rank seen (`None` when there are no entries) — ascent means
 /// only each slice's last rank competes — so the caller can enforce the
-/// vertex-rank bound and the v2 `max_rank` header field in the same
-/// pass.
+/// vertex-rank bound and the stored `max_rank` word in the same pass.
 fn validate_csr_ranks(offsets: &[u32], ranks: &[u32]) -> Result<Option<u32>, PersistError> {
     let mut max: Option<u32> = None;
     for v in 0..offsets.len() - 1 {
@@ -881,8 +806,7 @@ fn validate_csr_ranks(offsets: &[u32], ranks: &[u32]) -> Result<Option<u32>, Per
 
 /// Byte-offset invariants of the varint backends: `nodes + 1` values,
 /// starting at 0, monotone nondecreasing, ending at the byte-stream
-/// length. `O(nodes)` with no decoding — this is the part of the varint
-/// validation the zero-copy load path keeps.
+/// length.
 fn validate_byte_offsets(
     byte_offsets: &[u32],
     nodes: usize,
@@ -952,22 +876,19 @@ fn validate_varint_blocks(
     Ok(max)
 }
 
-/// The caller-side half of the rank checks: the PLL-level vertex-rank
-/// bound (`max < nodes`, when the caller asked for it) and, on v2 files,
-/// the cross-check that the header's O(1) `max_rank` field agrees with
-/// the ranks actually decoded — keeping the field honest for the mmap
-/// path, which trusts it without decoding.
+/// The caller-side half of the rank checks: the payload's leading
+/// `max_rank` word must agree with the ranks actually decoded, and, when
+/// the caller asked for it, every rank must be a valid vertex rank
+/// (`max < nodes`).
 fn check_max_rank(
     computed: Option<u32>,
-    stored: Option<u64>,
+    stored: u64,
     rank_bound: Option<u32>,
 ) -> Result<(), PersistError> {
-    if let Some(stored) = stored {
-        if stored != computed.map_or(0, |m| m as u64) {
-            return Err(PersistError::Corrupt(
-                "max-rank field does not match label planes",
-            ));
-        }
+    if stored != computed.map_or(0, |m| m as u64) {
+        return Err(PersistError::Corrupt(
+            "max-rank field does not match label planes",
+        ));
     }
     if let (Some(bound), Some(max)) = (rank_bound, computed) {
         if max >= bound {
@@ -977,14 +898,12 @@ fn check_max_rank(
     Ok(())
 }
 
-/// The `O(1)` dictionary invariants: the code plane at the canonical
-/// width for the table size, and code count == entry count. This is all
-/// the zero-copy load path runs — the table-value scan and the per-code
-/// range scan ride on the v2 checksum there (a corrupt table behind a
-/// checksum collision yields a wrong distance or a clean bounds panic
-/// at query time, never unsoundness) — while the owned path layers the
-/// full scans on top ([`validate_dict`]).
-fn validate_dict_shape(dict: &DistDict, entries: usize) -> Result<(), PersistError> {
+/// Dictionary invariants: the code plane at the canonical width for the
+/// table size, code count == entry count, the value table finite,
+/// non-negative and strictly ascending by bit pattern (bit order is
+/// numeric order, so this also rejects duplicates), and every code
+/// inside the table (`O(table + entries)`).
+fn validate_dict(dict: &DistDict, entries: usize) -> Result<(), PersistError> {
     let expected_width = if dict.table.len() <= 1 << 8 {
         1
     } else if dict.table.len() <= 1 << 16 {
@@ -992,10 +911,10 @@ fn validate_dict_shape(dict: &DistDict, entries: usize) -> Result<(), PersistErr
     } else {
         4
     };
-    let (width, len) = match &dict.codes {
-        CodePlane::U8(c) => (1, c.len()),
-        CodePlane::U16(c) => (2, c.len()),
-        CodePlane::U32(c) => (4, c.len()),
+    let (width, len, max_code) = match &dict.codes {
+        CodePlane::U8(c) => (1, c.len(), c.iter().map(|&x| x as usize).max()),
+        CodePlane::U16(c) => (2, c.len(), c.iter().map(|&x| x as usize).max()),
+        CodePlane::U32(c) => (4, c.len(), c.iter().map(|&x| x as usize).max()),
     };
     if width != expected_width {
         return Err(PersistError::Corrupt(
@@ -1005,15 +924,6 @@ fn validate_dict_shape(dict: &DistDict, entries: usize) -> Result<(), PersistErr
     if len != entries {
         return Err(PersistError::Corrupt("code count != entry count"));
     }
-    Ok(())
-}
-
-/// Full dictionary invariants: [`validate_dict_shape`] plus the value
-/// table (finite, non-negative, strictly ascending by bit pattern —
-/// bit order is numeric order, so this also rejects duplicates) and
-/// every code inside the table (`O(table + entries)`).
-fn validate_dict(dict: &DistDict, entries: usize) -> Result<(), PersistError> {
-    validate_dict_shape(dict, entries)?;
     let table: &[f64] = &dict.table;
     // -0.0 is rejected too: its sign bit would break the sorted-by-bits
     // = sorted-numeric equivalence the encoder relies on.
@@ -1027,113 +937,64 @@ fn validate_dict(dict: &DistDict, entries: usize) -> Result<(), PersistError> {
             "dictionary table not strictly ascending",
         ));
     }
-    let max_code = match &dict.codes {
-        CodePlane::U8(c) => c.iter().map(|&x| x as usize).max(),
-        CodePlane::U16(c) => c.iter().map(|&x| x as usize).max(),
-        CodePlane::U32(c) => c.iter().map(|&x| x as usize).max(),
-    };
-    if let Some(max) = max_code {
-        if max >= dict.table.len() {
-            return Err(PersistError::Corrupt("dictionary code out of range"));
-        }
+    if max_code.is_some_and(|max| max >= table.len()) {
+        return Err(PersistError::Corrupt("dictionary code out of range"));
     }
     Ok(())
 }
 
-fn read_code_plane(cur: &mut Cursor<'_>) -> Result<CodePlane, PersistError> {
-    // v1 spent one byte on the width tag; v2 spends an aligned word.
-    let width = if cur.aligned {
-        cur.u64()?
-    } else {
-        cur.u8()? as u64
+/// Every structural invariant the unchecked hot-path decoders rely on,
+/// for whichever backend `store` holds: plane lengths, offsets, rank
+/// ascent (flat or varint), the stored `max_rank` word and optional
+/// vertex-rank bound, and the dictionary. Offsets are checked before
+/// anything is sliced by them.
+fn validate_store(
+    store: &LabelStore,
+    nodes: usize,
+    entries: usize,
+    stored_max_rank: u64,
+    rank_bound: Option<u32>,
+) -> Result<(), PersistError> {
+    let plane_lengths_match = match store {
+        LabelStore::Csr(l) => l.hub_ranks.len() == entries && l.dists.len() == entries,
+        LabelStore::Compressed(l) => l.dists.len() == entries,
+        LabelStore::CsrDict(l) => l.hub_ranks.len() == entries,
+        // The code plane's length is checked with the dictionary.
+        LabelStore::CompressedDict(_) => true,
     };
-    match width {
-        1 => Ok(CodePlane::U8(cur.u8_vec()?.into())),
-        2 => Ok(CodePlane::U16(cur.u16_vec()?.into())),
-        4 => Ok(CodePlane::U32(cur.u32_vec()?.into())),
-        _ => Err(PersistError::Corrupt("unknown code width")),
+    if !plane_lengths_match {
+        return Err(PersistError::Corrupt("plane length != entry count"));
     }
-}
-
-/// Plane reader for the zero-copy load path: walks a checksummed v2
-/// payload exactly like [`Cursor`] in aligned mode, but instead of
-/// copying each plane out it hands back a [`Plane::borrowed`] view into
-/// the backing [`MmapRegion`]. Bounds come from the same length
-/// prefixes; alignment is guaranteed by the v2 writer's padding and
-/// re-checked by `Plane::borrowed` anyway.
-struct BorrowCursor<'a> {
-    region: &'a Arc<MmapRegion>,
-    payload_len: usize,
-    /// Payload-relative position; the plane's absolute byte offset is
-    /// `HEADER_LEN + pos`.
-    pos: usize,
-}
-
-impl<'a> BorrowCursor<'a> {
-    fn new(region: &'a Arc<MmapRegion>) -> BorrowCursor<'a> {
-        BorrowCursor {
-            region,
-            payload_len: region.as_bytes().len() - HEADER_LEN,
-            pos: 0,
+    let max = match store {
+        LabelStore::Csr(l) => {
+            validate_offsets(&l.offsets, nodes, entries)?;
+            validate_csr_ranks(&l.offsets, &l.hub_ranks)?
         }
-    }
-
-    fn u64(&mut self) -> Result<u64, PersistError> {
-        let end = self.pos.checked_add(8).ok_or(PersistError::Truncated)?;
-        if end > self.payload_len {
-            return Err(PersistError::Truncated);
+        LabelStore::Compressed(l) => {
+            validate_offsets(&l.offsets, nodes, entries)?;
+            validate_varint_blocks(&l.offsets, &l.byte_offsets, &l.rank_bytes, nodes)?
         }
-        let b = &self.region.as_bytes()[HEADER_LEN + self.pos..HEADER_LEN + end];
-        self.pos = end;
-        Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
-    }
-
-    /// Reads one `[len: u64][data][pad8]` plane as a borrow into the
-    /// region.
-    fn plane<T: PlanePod>(&mut self) -> Result<Plane<T>, PersistError> {
-        let n = self.u64()?;
-        let n = usize::try_from(n).map_err(|_| PersistError::Truncated)?;
-        let data_len = n
-            .checked_mul(std::mem::size_of::<T>())
-            .ok_or(PersistError::Truncated)?;
-        let end = self
-            .pos
-            .checked_add(data_len)
-            .ok_or(PersistError::Truncated)?;
-        let padded = end
-            .checked_add(end.wrapping_neg() % 8)
-            .ok_or(PersistError::Truncated)?;
-        if padded > self.payload_len {
-            return Err(PersistError::Truncated);
+        LabelStore::CsrDict(l) => {
+            validate_offsets(&l.offsets, nodes, entries)?;
+            validate_csr_ranks(&l.offsets, &l.hub_ranks)?
         }
-        let plane = Plane::borrowed(self.region, HEADER_LEN + self.pos, n)
-            .ok_or(PersistError::Corrupt("plane misaligned in mapped file"))?;
-        self.pos = padded;
-        Ok(plane)
-    }
-
-    fn finish(&self) -> Result<(), PersistError> {
-        if self.pos != self.payload_len {
-            return Err(PersistError::Corrupt("trailing bytes after payload"));
+        LabelStore::CompressedDict(l) => {
+            validate_offsets(&l.offsets, nodes, entries)?;
+            validate_varint_blocks(&l.offsets, &l.byte_offsets, &l.rank_bytes, nodes)?
         }
-        Ok(())
-    }
-}
-
-fn borrow_code_plane(cur: &mut BorrowCursor<'_>) -> Result<CodePlane, PersistError> {
-    match cur.u64()? {
-        1 => Ok(CodePlane::U8(cur.plane()?)),
-        2 => Ok(CodePlane::U16(cur.plane()?)),
-        4 => Ok(CodePlane::U32(cur.plane()?)),
-        _ => Err(PersistError::Corrupt("unknown code width")),
+    };
+    check_max_rank(max, stored_max_rank, rank_bound)?;
+    match store {
+        LabelStore::CsrDict(l) => validate_dict(&l.dists, entries),
+        LabelStore::CompressedDict(l) => validate_dict(&l.dists, entries),
+        LabelStore::Csr(_) | LabelStore::Compressed(_) => Ok(()),
     }
 }
 
 /// The fixed header, parsed and cross-checked against the caller's
-/// snapshot — every check both load paths (owned decode and zero-copy
-/// borrow) run before touching a single payload byte.
+/// snapshot — every check a load runs before touching a single payload
+/// byte.
 struct Header {
-    version: u16,
     storage: LabelStorage,
     fp: SnapshotFingerprint,
     stored_checksum: u64,
@@ -1145,9 +1006,8 @@ impl Header {
         expected_nodes: usize,
         expected_graph_hash: u64,
     ) -> Result<Header, PersistError> {
-        // Checks length >= HEADER_LEN, magic, and version range.
+        // Checks length >= HEADER_LEN, magic, and version.
         let fp = SnapshotFingerprint::read_from_bytes(bytes)?;
-        let version = u16::from_le_bytes(bytes[4..6].try_into().expect("2 bytes"));
         let tag = bytes[6];
         let storage = *LabelStorage::ALL
             .get(tag as usize)
@@ -1185,23 +1045,10 @@ impl Header {
             });
         }
         Ok(Header {
-            version,
             storage,
             fp,
             stored_checksum,
         })
-    }
-
-    fn verify_checksum(&self, payload: &[u8]) -> Result<(), PersistError> {
-        let sum = if self.version >= FORMAT_VERSION {
-            checksum(payload)
-        } else {
-            checksum_v1(payload)
-        };
-        if sum != self.stored_checksum {
-            return Err(PersistError::ChecksumMismatch);
-        }
-        Ok(())
     }
 }
 
@@ -1210,25 +1057,60 @@ impl Header {
 // ---------------------------------------------------------------------
 
 impl LabelStore {
-    /// Serializes this store into the current (v2) on-disk byte format —
-    /// `max_rank` word first, then 8-byte-aligned planes — stamping
-    /// `graph_hash` (see [`graph_fingerprint`]) into the header
-    /// fingerprint. The inverse of [`LabelStore::from_bytes`], and the
-    /// layout [`LabelStore::load_mmap`] borrows without decoding.
+    /// Serializes this store into the on-disk byte format — `max_rank`
+    /// word first, then 8-byte-aligned planes — stamping `graph_hash`
+    /// (see [`graph_fingerprint`]) into the header fingerprint. The
+    /// inverse of [`LabelStore::from_bytes`], and the layout every load
+    /// borrows without decoding.
     pub fn to_bytes(&self, graph_hash: u64) -> Vec<u8> {
-        self.encode(graph_hash, FORMAT_VERSION)
-    }
-
-    /// Writes the legacy byte-packed v1 layout. Only the backward-
-    /// compatibility tests should need this; new files are always v2.
-    #[doc(hidden)]
-    pub fn to_bytes_v1(&self, graph_hash: u64) -> Vec<u8> {
-        self.encode(graph_hash, LEGACY_FORMAT_VERSION)
+        let u32_le = u32::to_le_bytes;
+        let f64_le = |d: f64| d.to_bits().to_le_bytes();
+        let u8_le = |b: u8| [b];
+        let mut w = PayloadWriter::default();
+        w.u64(self.max_hub_rank().map_or(0, |m| m as u64));
+        match self {
+            LabelStore::Csr(l) => {
+                w.plane(&l.offsets, u32_le);
+                w.plane(&l.hub_ranks, u32_le);
+                w.plane(&l.dists, f64_le);
+            }
+            LabelStore::Compressed(l) => {
+                w.plane(&l.offsets, u32_le);
+                w.plane(&l.byte_offsets, u32_le);
+                w.plane(&l.rank_bytes, u8_le);
+                w.plane(&l.dists, f64_le);
+            }
+            LabelStore::CsrDict(l) => {
+                w.plane(&l.offsets, u32_le);
+                w.plane(&l.hub_ranks, u32_le);
+                w.dict(&l.dists);
+            }
+            LabelStore::CompressedDict(l) => {
+                w.plane(&l.offsets, u32_le);
+                w.plane(&l.byte_offsets, u32_le);
+                w.plane(&l.rank_bytes, u8_le);
+                w.dict(&l.dists);
+            }
+        }
+        let payload = w.out;
+        let stats = self.stats();
+        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+        out.extend_from_slice(&MAGIC);
+        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        out.push(self.storage() as u8);
+        out.push(0); // reserved
+        out.extend_from_slice(&(stats.nodes as u64).to_le_bytes());
+        out.extend_from_slice(&(stats.total_entries as u64).to_le_bytes());
+        out.extend_from_slice(&graph_hash.to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&checksum(&payload).to_le_bytes());
+        out.extend_from_slice(&payload);
+        out
     }
 
     /// The maximum hub rank across every node's label list (`None` when
-    /// the store has no entries) — the v2 header's O(1) substitute for
-    /// decoding the rank planes on the mmap load path.
+    /// the store has no entries) — the payload's leading word, which
+    /// every load cross-checks against the decoded ranks.
     fn max_hub_rank(&self) -> Option<u32> {
         // Ranks ascend within a node, so each list's last entry competes.
         (0..self.num_nodes())
@@ -1237,60 +1119,8 @@ impl LabelStore {
             .max()
     }
 
-    fn encode(&self, graph_hash: u64, version: u16) -> Vec<u8> {
-        let mut w = PayloadWriter::new(version >= FORMAT_VERSION);
-        if w.aligned {
-            w.u64(self.max_hub_rank().map_or(0, |m| m as u64));
-        }
-        match self {
-            LabelStore::Csr(l) => {
-                w.u32_slice(&l.offsets);
-                w.u32_slice(&l.hub_ranks);
-                w.f64_slice(&l.dists);
-            }
-            LabelStore::Compressed(l) => {
-                w.u32_slice(&l.offsets);
-                w.u32_slice(&l.byte_offsets);
-                w.u8_slice(&l.rank_bytes);
-                w.f64_slice(&l.dists);
-            }
-            LabelStore::CsrDict(l) => {
-                w.u32_slice(&l.offsets);
-                w.u32_slice(&l.hub_ranks);
-                w.dict(&l.dists);
-            }
-            LabelStore::CompressedDict(l) => {
-                w.u32_slice(&l.offsets);
-                w.u32_slice(&l.byte_offsets);
-                w.u8_slice(&l.rank_bytes);
-                w.dict(&l.dists);
-            }
-        }
-        let payload = w.out;
-        let stats = self.stats();
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&version.to_le_bytes());
-        out.push(self.storage() as u8);
-        out.push(0); // reserved
-        out.extend_from_slice(&(stats.nodes as u64).to_le_bytes());
-        out.extend_from_slice(&(stats.total_entries as u64).to_le_bytes());
-        out.extend_from_slice(&graph_hash.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        let sum = if version >= FORMAT_VERSION {
-            checksum(&payload)
-        } else {
-            checksum_v1(&payload)
-        };
-        out.extend_from_slice(&sum.to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
-    }
-
-    /// Decodes a store from untrusted bytes, validating the header
-    /// against the caller's snapshot (`expected_nodes`,
-    /// `expected_graph_hash`) and every structural invariant of the
-    /// stored backend before any decoder touches the data.
+    /// Loads a store from untrusted bytes: copies them into an aligned
+    /// heap region and runs the one reader, [`LabelStore::from_region`].
     ///
     /// Returns `Err` — never panics — on any malformed, truncated,
     /// corrupt, or stale input.
@@ -1299,132 +1129,26 @@ impl LabelStore {
         expected_nodes: usize,
         expected_graph_hash: u64,
     ) -> Result<LabelStore, PersistError> {
-        Self::from_bytes_impl(bytes, expected_nodes, expected_graph_hash, false)
+        LabelStore::from_region(
+            &MmapRegion::from_bytes(bytes),
+            expected_nodes,
+            expected_graph_hash,
+        )
     }
 
-    /// [`LabelStore::from_bytes`] plus, when `ranks_are_vertex_ranks`,
-    /// the PLL-level invariant that every hub rank is `< nodes` —
-    /// checked inside the single validation pass over the rank planes,
-    /// so the load path never decodes the labels twice.
-    pub(crate) fn from_bytes_impl(
-        bytes: &[u8],
-        expected_nodes: usize,
-        expected_graph_hash: u64,
-        ranks_are_vertex_ranks: bool,
-    ) -> Result<LabelStore, PersistError> {
-        let header = Header::read(bytes, expected_nodes, expected_graph_hash)?;
-        let payload = &bytes[HEADER_LEN..];
-        header.verify_checksum(payload)?;
-
-        let nodes = header.fp.nodes as usize;
-        let entries = header.fp.entries as usize;
-        let rank_bound = ranks_are_vertex_ranks.then_some(header.fp.nodes as u32);
-        let aligned = header.version >= FORMAT_VERSION;
-        let mut cur = Cursor::new(payload, aligned);
-        // v2 leads with the max-rank word; cross-checked below against
-        // the ranks actually decoded, so the mmap path can trust it.
-        let stored_max_rank = if aligned { Some(cur.u64()?) } else { None };
-        let store = match header.storage {
-            LabelStorage::Csr => {
-                let offsets = cur.u32_vec()?;
-                let hub_ranks = cur.u32_vec()?;
-                let dists = cur.f64_vec()?;
-                cur.finish()?;
-                if hub_ranks.len() != entries || dists.len() != entries {
-                    return Err(PersistError::Corrupt("plane length != entry count"));
-                }
-                validate_offsets(&offsets, nodes, entries)?;
-                let max = validate_csr_ranks(&offsets, &hub_ranks)?;
-                check_max_rank(max, stored_max_rank, rank_bound)?;
-                LabelStore::Csr(LabelSet {
-                    offsets: offsets.into(),
-                    hub_ranks: hub_ranks.into(),
-                    dists: dists.into(),
-                })
-            }
-            LabelStorage::Compressed => {
-                let offsets = cur.u32_vec()?;
-                let byte_offsets = cur.u32_vec()?;
-                let rank_bytes = cur.u8_vec()?;
-                let dists = cur.f64_vec()?;
-                cur.finish()?;
-                if dists.len() != entries {
-                    return Err(PersistError::Corrupt("plane length != entry count"));
-                }
-                validate_offsets(&offsets, nodes, entries)?;
-                let max = validate_varint_blocks(&offsets, &byte_offsets, &rank_bytes, nodes)?;
-                check_max_rank(max, stored_max_rank, rank_bound)?;
-                LabelStore::Compressed(CompressedLabelSet {
-                    offsets: offsets.into(),
-                    byte_offsets: byte_offsets.into(),
-                    rank_bytes: rank_bytes.into(),
-                    dists: dists.into(),
-                })
-            }
-            LabelStorage::CsrDict => {
-                let offsets = cur.u32_vec()?;
-                let hub_ranks = cur.u32_vec()?;
-                let table = cur.f64_vec()?;
-                let codes = read_code_plane(&mut cur)?;
-                cur.finish()?;
-                if hub_ranks.len() != entries {
-                    return Err(PersistError::Corrupt("plane length != entry count"));
-                }
-                validate_offsets(&offsets, nodes, entries)?;
-                let max = validate_csr_ranks(&offsets, &hub_ranks)?;
-                check_max_rank(max, stored_max_rank, rank_bound)?;
-                let dists = DistDict {
-                    table: table.into(),
-                    codes,
-                };
-                validate_dict(&dists, entries)?;
-                LabelStore::CsrDict(DictLabelSet {
-                    offsets: offsets.into(),
-                    hub_ranks: hub_ranks.into(),
-                    dists,
-                })
-            }
-            LabelStorage::CompressedDict => {
-                let offsets = cur.u32_vec()?;
-                let byte_offsets = cur.u32_vec()?;
-                let rank_bytes = cur.u8_vec()?;
-                let table = cur.f64_vec()?;
-                let codes = read_code_plane(&mut cur)?;
-                cur.finish()?;
-                validate_offsets(&offsets, nodes, entries)?;
-                let max = validate_varint_blocks(&offsets, &byte_offsets, &rank_bytes, nodes)?;
-                check_max_rank(max, stored_max_rank, rank_bound)?;
-                let dists = DistDict {
-                    table: table.into(),
-                    codes,
-                };
-                validate_dict(&dists, entries)?;
-                LabelStore::CompressedDict(CompressedDictLabelSet {
-                    offsets: offsets.into(),
-                    byte_offsets: byte_offsets.into(),
-                    rank_bytes: rank_bytes.into(),
-                    dists,
-                })
-            }
-        };
-        Ok(store)
-    }
-
-    /// Zero-copy decode of a mapped index file: validates the header,
-    /// the payload checksum, and the `O(nodes)` structural metadata,
-    /// then borrows every plane straight out of `region` — no per-entry
-    /// decode, no copies. v1 (or any pre-v2) files fall back to the
-    /// owned decode path, since their planes are unaligned.
+    /// Loads a store from an index file's bytes in `region`, validating
+    /// the header against the caller's snapshot (`expected_nodes`,
+    /// `expected_graph_hash`), the payload checksum, and every
+    /// structural invariant of the stored backend — offsets, rank
+    /// ascent, varint blocks, the `max_rank` word, the dictionary —
+    /// before any decoder touches the data. The planes of the returned
+    /// store borrow `region` in place and pin it for as long as they
+    /// live; mutation copies on write.
     ///
-    /// The trust model differs from [`LabelStore::from_bytes`]: the
-    /// per-entry invariant scans (rank ascent, varint well-formedness,
-    /// dictionary-code range) are vouched for by the payload checksum —
-    /// written by the same validated writer — instead of being re-proven
-    /// element by element. Loading still never panics on any input, and
-    /// every query path is bounds-checked safe Rust, so even an
-    /// adversarial file that engineered a checksum collision could only
-    /// cause a query-time panic or wrong distance, never unsoundness.
-    /// For untrusted bytes, use the owned path.
+    /// Every load goes through here, whatever backs the region, so a
+    /// mapped file and a heap copy of the same bytes give the same store
+    /// or the same error. Returns `Err` — never panics — on any
+    /// malformed, truncated, corrupt, or stale input.
     pub fn from_region(
         region: &Arc<MmapRegion>,
         expected_nodes: usize,
@@ -1434,8 +1158,8 @@ impl LabelStore {
     }
 
     /// [`LabelStore::from_region`] plus, when `ranks_are_vertex_ranks`,
-    /// the PLL-level vertex-rank bound — enforced in O(1) via the v2
-    /// header's `max_rank` word instead of decoding the rank planes.
+    /// the PLL-level invariant that every hub rank is `< nodes` —
+    /// checked inside the single validation pass over the rank planes.
     pub(crate) fn from_region_impl(
         region: &Arc<MmapRegion>,
         expected_nodes: usize,
@@ -1444,111 +1168,55 @@ impl LabelStore {
     ) -> Result<LabelStore, PersistError> {
         let bytes = region.as_bytes();
         let header = Header::read(bytes, expected_nodes, expected_graph_hash)?;
-        if header.version < FORMAT_VERSION {
-            // Legacy layout: unaligned planes, byte-wise checksum, no
-            // max-rank word — decode into owned storage instead.
-            return LabelStore::from_bytes_impl(
-                bytes,
-                expected_nodes,
-                expected_graph_hash,
-                ranks_are_vertex_ranks,
-            );
+        if checksum(&bytes[HEADER_LEN..]) != header.stored_checksum {
+            return Err(PersistError::ChecksumMismatch);
         }
-        header.verify_checksum(&bytes[HEADER_LEN..])?;
-
-        let nodes = header.fp.nodes as usize;
-        let entries = header.fp.entries as usize;
         let mut cur = BorrowCursor::new(region);
-        // The v2 max-rank word is the O(1) stand-in for decoding the
-        // rank planes (the owned path cross-checks it at write/load
-        // time, so it is as trustworthy as the planes themselves).
-        let max_rank = cur.u64()?;
-        if ranks_are_vertex_ranks && entries > 0 && max_rank >= header.fp.nodes {
-            return Err(PersistError::Corrupt("hub rank exceeds node count"));
-        }
+        let stored_max_rank = cur.u64()?;
+        // Struct-literal fields evaluate in the order written, which is
+        // the payload's plane order.
         let store = match header.storage {
-            LabelStorage::Csr => {
-                let offsets: Plane<u32> = cur.plane()?;
-                let hub_ranks: Plane<u32> = cur.plane()?;
-                let dists: Plane<f64> = cur.plane()?;
-                cur.finish()?;
-                if hub_ranks.len() != entries || dists.len() != entries {
-                    return Err(PersistError::Corrupt("plane length != entry count"));
-                }
-                validate_offsets(&offsets, nodes, entries)?;
-                LabelStore::Csr(LabelSet {
-                    offsets,
-                    hub_ranks,
-                    dists,
-                })
-            }
-            LabelStorage::Compressed => {
-                let offsets: Plane<u32> = cur.plane()?;
-                let byte_offsets: Plane<u32> = cur.plane()?;
-                let rank_bytes: Plane<u8> = cur.plane()?;
-                let dists: Plane<f64> = cur.plane()?;
-                cur.finish()?;
-                if dists.len() != entries {
-                    return Err(PersistError::Corrupt("plane length != entry count"));
-                }
-                validate_offsets(&offsets, nodes, entries)?;
-                validate_byte_offsets(&byte_offsets, nodes, rank_bytes.len())?;
-                LabelStore::Compressed(CompressedLabelSet {
-                    offsets,
-                    byte_offsets,
-                    rank_bytes,
-                    dists,
-                })
-            }
-            LabelStorage::CsrDict => {
-                let offsets: Plane<u32> = cur.plane()?;
-                let hub_ranks: Plane<u32> = cur.plane()?;
-                let table: Plane<f64> = cur.plane()?;
-                let codes = borrow_code_plane(&mut cur)?;
-                cur.finish()?;
-                if hub_ranks.len() != entries {
-                    return Err(PersistError::Corrupt("plane length != entry count"));
-                }
-                validate_offsets(&offsets, nodes, entries)?;
-                let dists = DistDict { table, codes };
-                validate_dict_shape(&dists, entries)?;
-                LabelStore::CsrDict(DictLabelSet {
-                    offsets,
-                    hub_ranks,
-                    dists,
-                })
-            }
-            LabelStorage::CompressedDict => {
-                let offsets: Plane<u32> = cur.plane()?;
-                let byte_offsets: Plane<u32> = cur.plane()?;
-                let rank_bytes: Plane<u8> = cur.plane()?;
-                let table: Plane<f64> = cur.plane()?;
-                let codes = borrow_code_plane(&mut cur)?;
-                cur.finish()?;
-                validate_offsets(&offsets, nodes, entries)?;
-                validate_byte_offsets(&byte_offsets, nodes, rank_bytes.len())?;
-                let dists = DistDict { table, codes };
-                validate_dict_shape(&dists, entries)?;
-                LabelStore::CompressedDict(CompressedDictLabelSet {
-                    offsets,
-                    byte_offsets,
-                    rank_bytes,
-                    dists,
-                })
-            }
+            LabelStorage::Csr => LabelStore::Csr(LabelSet {
+                offsets: cur.plane()?,
+                hub_ranks: cur.plane()?,
+                dists: cur.plane()?,
+            }),
+            LabelStorage::Compressed => LabelStore::Compressed(CompressedLabelSet {
+                offsets: cur.plane()?,
+                byte_offsets: cur.plane()?,
+                rank_bytes: cur.plane()?,
+                dists: cur.plane()?,
+            }),
+            LabelStorage::CsrDict => LabelStore::CsrDict(DictLabelSet {
+                offsets: cur.plane()?,
+                hub_ranks: cur.plane()?,
+                dists: cur.dict()?,
+            }),
+            LabelStorage::CompressedDict => LabelStore::CompressedDict(CompressedDictLabelSet {
+                offsets: cur.plane()?,
+                byte_offsets: cur.plane()?,
+                rank_bytes: cur.plane()?,
+                dists: cur.dict()?,
+            }),
         };
+        cur.finish()?;
+        let nodes = header.fp.nodes as usize;
+        let rank_bound = ranks_are_vertex_ranks.then_some(nodes as u32);
+        validate_store(
+            &store,
+            nodes,
+            header.fp.entries as usize,
+            stored_max_rank,
+            rank_bound,
+        )?;
         Ok(store)
     }
 
     /// Memory-maps the index at `path` and borrows every label plane in
-    /// place — the zero-copy counterpart of [`LabelStore::load_from`].
-    /// Same staleness and checksum guarantees; see
-    /// [`LabelStore::from_region`] for what per-entry validation is
-    /// traded for the checksum, and [`IndexLoadMode`] for when to pick
-    /// which. The returned store pins the mapping for as long as it (or
-    /// anything cloned from it) lives; [`LabelStore::is_zero_copy`]
-    /// reports whether borrowing actually happened (a v1 file loads via
-    /// the owned fallback).
+    /// place. Same reader and validation as [`LabelStore::load_from`];
+    /// see [`IndexLoadMode`] for when to pick which. The returned store
+    /// pins the mapping for as long as it (or anything cloned from it)
+    /// lives.
     pub fn load_mmap(path: &Path, graph: &ExpertGraph) -> Result<LabelStore, PersistError> {
         let region = MmapRegion::map_file(path)?;
         LabelStore::from_region(&region, graph.num_nodes(), graph_fingerprint(graph))
@@ -1565,13 +1233,12 @@ impl LabelStore {
         atomic_write(path, &bytes).map_err(PersistError::Io)
     }
 
-    /// Loads a store from `path`, rejecting files whose fingerprint does
-    /// not match `graph` (see [`LabelStore::from_bytes`] for the
-    /// validation guarantees).
+    /// Reads the index at `path` into a heap region and loads it,
+    /// rejecting files whose fingerprint does not match `graph` (see
+    /// [`LabelStore::from_region`] for the validation guarantees).
     pub fn load_from(path: &Path, graph: &ExpertGraph) -> Result<LabelStore, PersistError> {
-        let mut bytes = Vec::new();
-        std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-        LabelStore::from_bytes(&bytes, graph.num_nodes(), graph_fingerprint(graph))
+        let region = MmapRegion::read_file(path)?;
+        LabelStore::from_region(&region, graph.num_nodes(), graph_fingerprint(graph))
     }
 
     /// [`LabelStore::save_to`] under a [`RetryPolicy`]: transient I/O
@@ -1605,7 +1272,8 @@ impl PrunedLandmarkLabeling {
     }
 
     /// Loads a previously saved index for `graph` from `path` — the fast
-    /// half of the load-or-build cold start. On top of the store-level
+    /// half of the load-or-build cold start — by reading the file into a
+    /// heap region ([`IndexLoadMode::Owned`]). On top of the store-level
     /// validation this requires every hub rank to be a valid vertex rank
     /// (`< num_nodes`), which is what lets [`SourceScatter`] scratch
     /// arrays stay direct-indexed and unchecked.
@@ -1620,26 +1288,13 @@ impl PrunedLandmarkLabeling {
         graph: &ExpertGraph,
     ) -> Result<PrunedLandmarkLabeling, PersistError> {
         let start = Instant::now();
-        let mut bytes = Vec::new();
-        std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-        // The rank bound rides inside the one structural validation pass
-        // — the load path never decodes the labels a second time.
-        let store =
-            LabelStore::from_bytes_impl(&bytes, graph.num_nodes(), graph_fingerprint(graph), true)?;
-        Ok(PrunedLandmarkLabeling::from_loaded_store(
-            store,
-            start.elapsed(),
-        ))
+        PrunedLandmarkLabeling::load_region(MmapRegion::read_file(path)?, graph, start)
     }
 
-    /// Memory-maps a previously saved index for `graph` — the zero-copy
-    /// counterpart of [`PrunedLandmarkLabeling::load_from`], selected by
-    /// [`IndexLoadMode::Mmap`]. Format-v2 planes are borrowed straight
-    /// from the page cache (no decode, no copy; see
-    /// [`LabelStore::load_mmap`]); v1 files fall back to the owned
-    /// decode. The PLL-level vertex-rank bound is enforced in O(1) via
-    /// the v2 header's `max_rank` field, which the owned write/load
-    /// paths keep cross-checked against the actual label planes.
+    /// [`PrunedLandmarkLabeling::load_from`] over a memory mapping of the
+    /// file instead of a heap copy ([`IndexLoadMode::Mmap`]): the same
+    /// reader and validation, with the planes borrowed straight from the
+    /// page cache (see [`LabelStore::load_mmap`]).
     ///
     /// Queries are bit-identical to [`PrunedLandmarkLabeling::load_from`]
     /// and to the build that produced the file.
@@ -1648,7 +1303,16 @@ impl PrunedLandmarkLabeling {
         graph: &ExpertGraph,
     ) -> Result<PrunedLandmarkLabeling, PersistError> {
         let start = Instant::now();
-        let region = MmapRegion::map_file(path)?;
+        PrunedLandmarkLabeling::load_region(MmapRegion::map_file(path)?, graph, start)
+    }
+
+    fn load_region(
+        region: Arc<MmapRegion>,
+        graph: &ExpertGraph,
+        start: Instant,
+    ) -> Result<PrunedLandmarkLabeling, PersistError> {
+        // The rank bound rides inside the one structural validation pass
+        // — the load path never decodes the labels a second time.
         let store = LabelStore::from_region_impl(
             &region,
             graph.num_nodes(),

@@ -5,13 +5,14 @@
 //! distance values, dictionary codes. [`Plane<T>`] abstracts where a
 //! plane's memory lives:
 //!
-//! * **Owned** — a plain `Vec<T>`, produced by builders, incremental
-//!   patching, and the portable (decode-and-validate) load path.
-//! * **Borrowed** — a `&[T]` view into an [`MmapRegion`] backing an
-//!   on-disk index in persist format v2, whose payload is laid out
-//!   8-byte-aligned precisely so planes can be reinterpreted in place.
-//!   The plane holds an `Arc` to the region, so the mapping lives as
-//!   long as any plane borrowed from it.
+//! * **Owned** — a plain `Vec<T>`, produced by builders and incremental
+//!   patching.
+//! * **Borrowed** — a `&[T]` view into an [`MmapRegion`] (a file mapping
+//!   or an aligned heap copy) holding an on-disk index, whose payload is
+//!   laid out 8-byte-aligned precisely so planes can be reinterpreted in
+//!   place. Every index load produces these. The plane holds an `Arc` to
+//!   the region, so the region lives as long as any plane borrowed from
+//!   it.
 //!
 //! Readers never see the difference: `Plane<T>` derefs to `[T]`, and all
 //! query paths work on slices. Writers call [`Plane::vec_mut`], which
@@ -120,10 +121,16 @@ impl<T: PlanePod> Plane<T> {
         }
     }
 
-    /// True when the plane borrows from a mapped region rather than
-    /// owning its storage.
+    /// True when the plane borrows from a region rather than owning its
+    /// storage.
     pub fn is_borrowed(&self) -> bool {
         matches!(self.repr, Repr::Borrowed { .. })
+    }
+
+    /// True when the plane borrows from a live kernel mapping — zero
+    /// copy — rather than owning its storage or borrowing a heap region.
+    pub fn is_mapped(&self) -> bool {
+        matches!(&self.repr, Repr::Borrowed { _backing, .. } if _backing.is_mapped())
     }
 
     /// Mutable access to the underlying `Vec`, converting a borrowed

@@ -1,11 +1,10 @@
 //! The zero-copy loading contract: for every storage backend,
 //! `save → load_mmap` borrows the label planes straight out of the
-//! mapped file and is **bit-identical** to the owned decode — same
+//! mapped file and is **bit-identical** to the owned load — same
 //! labels, same stats, same pairwise and one-to-many query bits. The
 //! corruption half drives every single-byte flip and every truncation
-//! prefix through the mmap path (the checksum/metadata gates must catch
-//! what the skipped per-entry validation no longer would), and legacy
-//! v1 files must keep loading through the owned fallback.
+//! prefix through the mmap path, which must reject them as cleanly as
+//! the owned load does.
 
 use atd_distance::persist::{checksum, HEADER_LEN};
 use atd_distance::{
@@ -115,9 +114,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// save → load_mmap is bit-identical to the owned load for every
-    /// backend, and actually borrows (zero-copy) wherever native or
-    /// heap-backed mapping produced an aligned v2 region — which is
-    /// everywhere, by construction.
+    /// backend, and borrows from a kernel mapping (zero-copy) wherever
+    /// the target supports one.
     #[test]
     fn mmap_load_is_bit_identical_to_owned_for_every_backend(lists in random_lists()) {
         for store in stores(&lists) {
@@ -132,7 +130,13 @@ proptest! {
                 let region = atd_distance::MmapRegion::map_file(&tmp.0).unwrap();
                 LabelStore::from_region(&region, store.num_nodes(), HASH).unwrap()
             };
-            prop_assert!(mapped.is_zero_copy(), "{:?} did not borrow", store.storage());
+            prop_assert_eq!(
+                mapped.is_zero_copy(),
+                atd_distance::MmapRegion::native_mmap_supported(),
+                "{:?} did not borrow",
+                store.storage()
+            );
+            prop_assert!(!owned.is_zero_copy(), "{:?}: heap load claims zero copy", store.storage());
             assert_stores_bit_identical(&store, &owned);
             assert_stores_bit_identical(&store, &mapped);
             // Re-serializing the mapped store reproduces the file bytes
@@ -141,9 +145,9 @@ proptest! {
         }
     }
 
-    /// Flipping ANY single byte of a v2 dump makes the mmap load fail
+    /// Flipping ANY single byte of a dump makes the mmap load fail
     /// cleanly — the word-lane checksum (plus header checks) covers
-    /// every payload byte the skipped per-entry validation used to.
+    /// every byte.
     #[test]
     fn mmap_load_rejects_any_single_byte_flip(lists in random_lists(), seed in 0usize..1_000_000) {
         for store in stores(&lists) {
@@ -256,42 +260,9 @@ fn pll_mmap_queries_are_bit_identical_across_backends() {
     }
 }
 
-/// Legacy v1 files (unaligned planes, byte-wise checksum) still load —
-/// through the owned fallback — via both `load_from` and `load_mmap`.
-#[test]
-fn v1_files_load_through_the_owned_fallback() {
-    let g = test_graph();
-    let built = PrunedLandmarkLabeling::build(&g);
-    let v1_bytes = built.labels().to_bytes_v1(graph_fingerprint(&g));
-    assert_eq!(
-        u16::from_le_bytes([v1_bytes[4], v1_bytes[5]]),
-        1,
-        "legacy writer stamps version 1"
-    );
-    let tmp = TempIndex::new("v1");
-    std::fs::write(&tmp.0, &v1_bytes).unwrap();
-    let owned = PrunedLandmarkLabeling::load_from(&tmp.0, &g).unwrap();
-    let mapped = PrunedLandmarkLabeling::load_mmap(&tmp.0, &g).unwrap();
-    assert!(
-        !mapped.labels().is_zero_copy(),
-        "v1 files cannot be borrowed; the fallback decodes owned"
-    );
-    assert_stores_bit_identical(built.labels(), owned.labels());
-    assert_stores_bit_identical(built.labels(), mapped.labels());
-    for u in g.nodes() {
-        for v in g.nodes() {
-            assert_eq!(
-                built.query_raw(u, v).to_bits(),
-                mapped.query_raw(u, v).to_bits()
-            );
-        }
-    }
-}
-
-/// The v2 `max_rank` header word is what the mmap path trusts for the
-/// PLL vertex-rank bound; an inflated value (resealed past the
-/// checksum) must fail the PLL load on both paths — via the O(1) bound
-/// check on mmap, via the cross-check against decoded ranks on owned.
+/// The payload's leading `max_rank` word must agree with the decoded
+/// ranks; an inflated value (resealed past the checksum) must fail the
+/// PLL load with the same cross-check error on both paths.
 #[test]
 fn inflated_max_rank_field_is_rejected_on_both_paths() {
     let g = test_graph();
@@ -309,7 +280,7 @@ fn inflated_max_rank_field_is_rejected_on_both_paths() {
     );
     let mapped = PrunedLandmarkLabeling::load_mmap(&tmp.0, &g).unwrap_err();
     assert!(
-        matches!(mapped, PersistError::Corrupt(msg) if msg.contains("rank")),
+        matches!(mapped, PersistError::Corrupt(msg) if msg.contains("max-rank")),
         "{mapped}"
     );
 }

@@ -5,12 +5,14 @@
 //! byte and cuts every prefix of real dumps, then re-seals patched
 //! payloads with the format's own checksum to drive the *structural*
 //! validation behind it (out-of-range dictionary codes, malformed varint
-//! blocks, non-monotone offsets).
+//! blocks, non-monotone offsets). The header and resealed cases load
+//! each corrupt dump both ways — a heap copy through `from_bytes` and a
+//! mapped file through `from_region` — and require the same error.
 
 use atd_distance::persist::{checksum, HEADER_LEN};
 use atd_distance::{
     CompressedDictLabelSet, CompressedLabelSet, DictLabelSet, LabelEntry, LabelSet, LabelStore,
-    PersistError, PrunedLandmarkLabeling,
+    MmapRegion, PersistError, PrunedLandmarkLabeling,
 };
 use proptest::prelude::*;
 
@@ -93,6 +95,30 @@ fn e(hub_rank: u32, dist: f64) -> LabelEntry {
     LabelEntry { hub_rank, dist }
 }
 
+/// Loads corrupt `bytes` both ways — a heap copy through
+/// `LabelStore::from_bytes` and a mapped file through
+/// `LabelStore::from_region` — asserts both reject them with the same
+/// error, and returns it.
+fn load_err(bytes: &[u8], nodes: usize) -> PersistError {
+    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let owned = LabelStore::from_bytes(bytes, nodes, HASH).unwrap_err();
+    let path = std::env::temp_dir().join(format!(
+        "atd_persist_both_{}_{}.atdl",
+        std::process::id(),
+        SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    ));
+    std::fs::write(&path, bytes).unwrap();
+    let region = MmapRegion::map_file(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let mapped = LabelStore::from_region(&region, nodes, HASH).unwrap_err();
+    assert_eq!(
+        format!("{owned:?}"),
+        format!("{mapped:?}"),
+        "heap and mapped loads disagree"
+    );
+    owned
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -166,35 +192,37 @@ fn every_truncation_point_is_rejected_cleanly() {
 fn header_field_corruption_yields_the_matching_error() {
     let store = LabelStore::from(LabelSet::from_lists(&[vec![e(0, 1.0)]]));
     let bytes = store.to_bytes(HASH);
-    let load = |b: &[u8]| LabelStore::from_bytes(b, 1, HASH);
+    let load = |b: &[u8]| load_err(b, 1);
 
     let mut bad_magic = bytes.clone();
     bad_magic[0] = b'X';
-    assert!(matches!(load(&bad_magic), Err(PersistError::BadMagic)));
+    assert!(matches!(load(&bad_magic), PersistError::BadMagic));
 
     let mut bad_version = bytes.clone();
     bad_version[4] = 99;
     assert!(matches!(
         load(&bad_version),
-        Err(PersistError::UnsupportedVersion(99))
+        PersistError::UnsupportedVersion(99)
     ));
+
+    // Version 1 (the retired byte-packed layout) is no longer read.
+    let mut v1 = bytes.clone();
+    v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+    assert!(matches!(load(&v1), PersistError::UnsupportedVersion(1)));
 
     let mut bad_tag = bytes.clone();
     bad_tag[6] = 17;
-    assert!(matches!(
-        load(&bad_tag),
-        Err(PersistError::BadStorageTag(17))
-    ));
+    assert!(matches!(load(&bad_tag), PersistError::BadStorageTag(17)));
 
     let mut bad_reserved = bytes.clone();
     bad_reserved[7] = 1;
-    assert!(matches!(load(&bad_reserved), Err(PersistError::Corrupt(_))));
+    assert!(matches!(load(&bad_reserved), PersistError::Corrupt(_)));
 
     let mut bad_checksum = bytes.clone();
     bad_checksum[40] ^= 1;
     assert!(matches!(
         load(&bad_checksum),
-        Err(PersistError::ChecksumMismatch)
+        PersistError::ChecksumMismatch
     ));
 
     let mut flipped_payload = bytes.clone();
@@ -202,7 +230,7 @@ fn header_field_corruption_yields_the_matching_error() {
     flipped_payload[last] ^= 1;
     assert!(matches!(
         load(&flipped_payload),
-        Err(PersistError::ChecksumMismatch)
+        PersistError::ChecksumMismatch
     ));
 }
 
@@ -217,9 +245,25 @@ fn dictionary_code_beyond_table_is_rejected_not_panicking() {
     let last = bytes.len() - 8;
     bytes[last] = 1;
     reseal(&mut bytes);
-    let err = LabelStore::from_bytes(&bytes, 1, HASH).unwrap_err();
+    let err = load_err(&bytes, 1);
     assert!(
         matches!(err, PersistError::Corrupt(msg) if msg.contains("code")),
+        "{err}"
+    );
+}
+
+#[test]
+fn nonzero_plane_padding_is_rejected() {
+    // The same one-code dict dump: the final plane's u8 code is followed
+    // by 7 zero pad bytes. Set the last one and re-seal.
+    let store = LabelStore::from(DictLabelSet::from_lists(&[vec![e(0, 0.5)]]));
+    let mut bytes = store.to_bytes(HASH);
+    let last = bytes.len() - 1;
+    bytes[last] = 1;
+    reseal(&mut bytes);
+    let err = load_err(&bytes, 1);
+    assert!(
+        matches!(err, PersistError::Corrupt(msg) if msg.contains("padding")),
         "{err}"
     );
 }
@@ -237,7 +281,7 @@ fn malformed_varint_block_is_rejected_not_panicking() {
     assert_eq!(bytes[rank_byte], 0x00, "rank 0 encodes as one zero byte");
     bytes[rank_byte] = 0x80;
     reseal(&mut bytes);
-    let err = LabelStore::from_bytes(&bytes, 1, HASH).unwrap_err();
+    let err = load_err(&bytes, 1);
     assert!(
         matches!(err, PersistError::Corrupt(msg) if msg.contains("varint")),
         "{err}"
@@ -255,7 +299,7 @@ fn non_monotone_offsets_are_rejected_not_panicking() {
     let offset1 = HEADER_LEN + 8 + 8 + 4;
     bytes[offset1..offset1 + 4].copy_from_slice(&5u32.to_le_bytes());
     reseal(&mut bytes);
-    let err = LabelStore::from_bytes(&bytes, 2, HASH).unwrap_err();
+    let err = load_err(&bytes, 2);
     assert!(matches!(err, PersistError::Corrupt(_)), "{err}");
 }
 
@@ -269,7 +313,7 @@ fn descending_csr_ranks_are_rejected() {
     bytes[ranks_at..ranks_at + 4].copy_from_slice(&9u32.to_le_bytes());
     bytes[ranks_at + 4..ranks_at + 8].copy_from_slice(&3u32.to_le_bytes());
     reseal(&mut bytes);
-    let err = LabelStore::from_bytes(&bytes, 1, HASH).unwrap_err();
+    let err = load_err(&bytes, 1);
     assert!(
         matches!(err, PersistError::Corrupt(msg) if msg.contains("ascending")),
         "{err}"

@@ -20,7 +20,7 @@
 //! there (the load-or-build cold start); `--pll-save` additionally dumps
 //! the built/loaded index to an explicit file; `--pll-mmap` switches the
 //! load to the zero-copy path (the label planes are borrowed from the
-//! memory-mapped file instead of decoded into owned storage). The labels
+//! memory-mapped file instead of from a private heap copy of it). The labels
 //! are bit-identical in every case — these flags tune cold-start time
 //! and index memory, never results.
 //!

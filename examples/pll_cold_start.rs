@@ -7,7 +7,7 @@
 //! to index — then saves and reloads the index in **every** storage
 //! backend, printing load-vs-rebuild wall time (the `persist.rs`
 //! instant cold start; loads are asserted bit-identical) — for both the
-//! owned decode and the zero-copy mmap load, with the mmap-vs-owned
+//! owned (heap-copy) load and the zero-copy mmap load, with the mmap-vs-owned
 //! speedup and the process RSS after each so the page-cache-backed
 //! memory win is visible alongside the time win.
 //!
