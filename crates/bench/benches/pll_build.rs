@@ -133,13 +133,6 @@ fn bench_pll_build_config(c: &mut Criterion) {
     let configs: &[(&str, PllBuildConfig)] = &[
         ("seq", PllBuildConfig::sequential()),
         (
-            "seq_compressed",
-            PllBuildConfig {
-                storage: LabelStorage::Compressed,
-                ..PllBuildConfig::sequential()
-            },
-        ),
-        (
             "seq_csr_dict",
             PllBuildConfig {
                 storage: LabelStorage::CsrDict,

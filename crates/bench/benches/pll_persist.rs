@@ -6,7 +6,7 @@
 //! * `rebuild` — the full PLL construction (default config), the cost
 //!   every process start paid before persistence existed;
 //! * `load/<backend>` — deserializing + validating a saved index for
-//!   each of the four storage backends (the owned cold-start path);
+//!   each of the three storage backends (the owned cold-start path);
 //! * `load_mmap/<backend>` — the zero-copy path (PR 10): validate the
 //!   mapped file's header + checksum + plane metadata and borrow every
 //!   label plane straight out of the page cache, no decode, no copy;
@@ -24,8 +24,8 @@
 use atd_dblp::graph_build::{BuildConfig, ExpertNetwork};
 use atd_dblp::synth::{SynthConfig, SynthCorpus};
 use atd_distance::{
-    graph_fingerprint, BuildConfig as PllBuildConfig, CompressedDictLabelSet, CompressedLabelSet,
-    DictLabelSet, LabelStorage, LabelStore, PrunedLandmarkLabeling, VertexOrder,
+    graph_fingerprint, BuildConfig as PllBuildConfig, CompressedDictLabelSet, DictLabelSet,
+    LabelStorage, LabelStore, PrunedLandmarkLabeling, VertexOrder,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -87,7 +87,6 @@ fn bench_pll_persist(c: &mut Criterion) {
     for storage in LabelStorage::ALL {
         let store = match storage {
             LabelStorage::Csr => reference.labels().clone(),
-            LabelStorage::Compressed => LabelStore::from(CompressedLabelSet::from_label_set(csr)),
             LabelStorage::CsrDict => LabelStore::from(DictLabelSet::from_label_set(csr)),
             LabelStorage::CompressedDict => {
                 LabelStore::from(CompressedDictLabelSet::from_label_set(csr))

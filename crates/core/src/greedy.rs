@@ -84,9 +84,9 @@ pub struct DiscoveryOptions {
     pub prune_dangling_connectors: bool,
     /// PLL index construction settings: worker threads + rank-batch size
     /// for the batch-synchronous parallel builder, plus the label storage
-    /// backend (flat CSR or delta+varint hub ranks × flat `f64` or
-    /// dictionary-coded distances — `LabelStorage::{Csr, Compressed,
-    /// CsrDict, CompressedDict}`). The produced labels are bit-identical
+    /// backend (flat CSR, or flat or delta+varint hub ranks with
+    /// dictionary-coded distances — `LabelStorage::{Csr, CsrDict,
+    /// CompressedDict}`). The produced labels are bit-identical
     /// regardless, so threads/batch only tune cold-start time and storage
     /// only trades index memory against per-entry decode work on the
     /// scan.
@@ -278,7 +278,11 @@ impl RankingContext {
 
 /// One root-scan candidate: where to grow the team from and who covers
 /// what.
-#[derive(Clone, Debug)]
+///
+/// Ordered by root first, and a scan offers one candidate per root, so
+/// the root scan's top-k list breaks equal algorithm costs by root id —
+/// the same kept set whatever the scan's thread count.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct Candidate {
     root: NodeId,
     assignment: Vec<(crate::skills::SkillId, NodeId)>,
@@ -662,7 +666,7 @@ impl Discovery {
     }
 
     /// Scans every root in parallel, returning the best `limit` candidates
-    /// by algorithm cost.
+    /// by algorithm cost, equal costs broken by root id.
     ///
     /// `cancel` is polled once per root (cooperative cancellation — the
     /// greedy search loop's deadline hook); a cancelled scan returns
@@ -888,7 +892,7 @@ impl Discovery {
     /// Outcomes:
     ///
     /// * ran to completion → `exhausted == true`, bit-identical to
-    ///   [`top_k`](Discovery::top_k) on a sequential-scan engine;
+    ///   [`top_k`](Discovery::top_k);
     /// * stopped early with teams in hand → `Ok` partial,
     ///   `exhausted == false`;
     /// * stopped early with nothing materialized yet → `Ok` partial with
@@ -1252,41 +1256,66 @@ mod tests {
         assert!(d.top_k(&project, Strategy::Cc, 0).unwrap().is_empty());
     }
 
+    /// A 300-node star whose hub holds the only skill: every leaf root
+    /// costs exactly 1.0, so the kept teams are decided by the tie-break
+    /// alone — and 300 nodes is past the sequential-scan cutoff, so a
+    /// multi-thread engine really scans in parallel.
+    fn star() -> (ExpertGraph, SkillIndex, Project) {
+        let mut b = GraphBuilder::new();
+        let hub = b.add_node(10.0);
+        for _ in 1..300 {
+            let leaf = b.add_node(1.0);
+            b.add_edge(hub, leaf, 1.0).unwrap();
+        }
+        let g = b.build().unwrap();
+        let mut sb = SkillIndexBuilder::new();
+        let s = sb.intern("s");
+        sb.grant(hub, s);
+        let idx = sb.build(g.num_nodes());
+        (g, idx, Project::new(vec![s]))
+    }
+
+    fn assert_same_teams(a: &[ScoredTeam], b: &[ScoredTeam], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}");
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(x.team.member_key(), y.team.member_key(), "{what}");
+            assert_eq!(x.objective.to_bits(), y.objective.to_bits(), "{what}");
+            assert_eq!(
+                x.algorithm_cost.to_bits(),
+                y.algorithm_cost.to_bits(),
+                "{what}"
+            );
+        }
+    }
+
     #[test]
     fn parallel_and_sequential_scans_agree() {
         let (g, idx, sn, tm) = figure1();
-        let project = Project::new(vec![sn, tm]);
-        let seq = Discovery::with_options(
-            g.clone(),
-            idx.clone(),
-            DiscoveryOptions {
-                threads: Some(1),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let par = Discovery::with_options(
-            g,
-            idx,
-            DiscoveryOptions {
-                threads: Some(4),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        for strategy in [
-            Strategy::Cc,
-            Strategy::SaCaCc {
-                gamma: 0.6,
-                lambda: 0.4,
-            },
-        ] {
-            let a = seq.top_k(&project, strategy, 3).unwrap();
-            let b = par.top_k(&project, strategy, 3).unwrap();
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.team.member_key(), y.team.member_key());
-                assert!((x.objective - y.objective).abs() < 1e-12);
+        let figure1 = (g, idx, Project::new(vec![sn, tm]));
+        for (g, idx, project) in [figure1, star()] {
+            let engine = |threads| {
+                let options = DiscoveryOptions {
+                    threads: Some(threads),
+                    ..Default::default()
+                };
+                Discovery::with_options(g.clone(), idx.clone(), options).unwrap()
+            };
+            let (seq, par) = (engine(1), engine(2));
+            for strategy in [
+                Strategy::Cc,
+                Strategy::SaCaCc {
+                    gamma: 0.6,
+                    lambda: 0.4,
+                },
+            ] {
+                let a = seq.top_k(&project, strategy, 3).unwrap();
+                let b = par.top_k(&project, strategy, 3).unwrap();
+                assert_same_teams(&a, &b, "threads 1 vs 2");
+                let anytime = par
+                    .top_k_anytime(&project, strategy, 3, None, &CancelToken::never(), None)
+                    .unwrap();
+                assert!(anytime.exhausted);
+                assert_same_teams(&anytime.teams, &b, "anytime vs top_k");
             }
         }
     }
@@ -1344,9 +1373,10 @@ mod tests {
 
     #[test]
     fn compressed_label_storage_yields_identical_teams() {
-        // The compressed backend answers every DIST query bit-identically
-        // to the CSR backend, so top-k discovery must match exactly —
-        // same member sets, same objective bits, same algorithm-cost bits.
+        // The compressed (varint-rank) backend answers every DIST query
+        // bit-identically to the CSR backend, so top-k discovery must
+        // match exactly — same member sets, same objective bits, same
+        // algorithm-cost bits.
         use atd_distance::LabelStorage;
         let (g, idx, sn, tm) = figure1();
         let project = Project::new(vec![sn, tm]);
@@ -1365,7 +1395,7 @@ mod tests {
             DiscoveryOptions {
                 threads: Some(1),
                 pll_build: PllBuildConfig {
-                    storage: LabelStorage::Compressed,
+                    storage: LabelStorage::CompressedDict,
                     ..PllBuildConfig::default()
                 },
                 ..Default::default()

@@ -7,6 +7,11 @@
 
 /// Keeps the `k` items with the smallest keys seen so far.
 ///
+/// Equal keys are ordered by value, so the kept set is the `k` smallest
+/// `(key, value)` pairs — one total order, whatever the insertion order.
+/// That is what makes merging per-thread lists exact: any partition of
+/// the offers merges to the list a single pass would keep.
+///
 /// Insertion is `O(k)` (a shifted insert into a sorted `Vec`), which for
 /// the paper's `k ≤ 10` beats any heap bookkeeping.
 #[derive(Clone, Debug)]
@@ -15,7 +20,7 @@ pub struct BoundedTopK<T> {
     items: Vec<(f64, T)>,
 }
 
-impl<T> BoundedTopK<T> {
+impl<T: Ord> BoundedTopK<T> {
     /// A list keeping the best `capacity` items.
     pub fn new(capacity: usize) -> Self {
         BoundedTopK {
@@ -24,22 +29,20 @@ impl<T> BoundedTopK<T> {
         }
     }
 
-    /// Offers an item; it is kept only if its key is among the `k`
-    /// smallest. NaN keys are rejected outright.
+    /// Offers an item; it is kept only if `(key, value)` is among the
+    /// `k` smallest pairs. NaN keys are rejected outright.
     pub fn offer(&mut self, key: f64, value: T) -> bool {
         if self.capacity == 0 || key.is_nan() {
             return false;
         }
-        if self.items.len() == self.capacity
-            && key >= self.items.last().expect("non-empty at capacity").0
-        {
+        let pos = self
+            .items
+            .partition_point(|(k, v)| *k < key || (*k == key && *v <= value));
+        if pos == self.capacity {
             return false;
         }
-        let pos = self.items.partition_point(|&(k, _)| k <= key);
         self.items.insert(pos, (key, value));
-        if self.items.len() > self.capacity {
-            self.items.pop();
-        }
+        self.items.truncate(self.capacity);
         true
     }
 
@@ -60,7 +63,8 @@ impl<T> BoundedTopK<T> {
         self.items.is_empty()
     }
 
-    /// Consumes the list, returning `(key, value)` ascending by key.
+    /// Consumes the list, returning `(key, value)` pairs in ascending
+    /// order.
     pub fn into_sorted(self) -> Vec<(f64, T)> {
         self.items
     }
@@ -108,13 +112,13 @@ mod tests {
     }
 
     #[test]
-    fn equal_keys_preserve_insertion_order() {
+    fn equal_keys_break_ties_by_value() {
         let mut l = BoundedTopK::new(3);
-        l.offer(1.0, 'x');
-        l.offer(1.0, 'y');
-        l.offer(1.0, 'z');
+        for v in ['z', 'x', 'w', 'y'] {
+            l.offer(1.0, v);
+        }
         let got: Vec<char> = l.into_sorted().into_iter().map(|(_, v)| v).collect();
-        assert_eq!(got, vec!['x', 'y', 'z'], "stable for ties");
+        assert_eq!(got, vec!['w', 'x', 'y'], "smallest values among ties");
     }
 
     #[test]

@@ -138,11 +138,14 @@ proptest! {
         prop_assert_eq!(got, expect);
     }
 
-    /// Merging per-thread top-k lists gives the same keys as one global
-    /// list — the parallel root scan's correctness argument.
+    /// Merging per-thread top-k lists gives the same `(key, value)`
+    /// pairs, in the same order, as one global list — the parallel root
+    /// scan's correctness argument. Keys come from a small integer set so
+    /// ties are common, and the values (offer indices, like root ids) are
+    /// what break them.
     #[test]
     fn topk_merge_is_lossless(
-        keys in proptest::collection::vec(0.0f64..100.0, 0..60),
+        keys in proptest::collection::vec((0u8..4).prop_map(f64::from), 0..60),
         k in 1usize..8,
         threads in 2usize..5,
     ) {
@@ -157,8 +160,6 @@ proptest! {
         for l in locals {
             merged.merge(l);
         }
-        let g: Vec<f64> = global.into_sorted().into_iter().map(|(key, _)| key).collect();
-        let m: Vec<f64> = merged.into_sorted().into_iter().map(|(key, _)| key).collect();
-        prop_assert_eq!(g, m);
+        prop_assert_eq!(global.into_sorted(), merged.into_sorted());
     }
 }

@@ -1,56 +1,42 @@
-//! Compressed hub-label storage — per-node delta+varint group blocks.
+//! Label storage backends and the shared delta+varint block codec.
 //!
-//! The flat CSR [`LabelSet`] spends 4 bytes per
-//! entry on a `u32` hub rank even though ranks are strictly ascending
-//! within every node's label: the information content of an entry is its
-//! *gap* to the previous rank, which on paper-scale graphs is almost
-//! always a small integer. [`CompressedLabelSet`] stores each node's rank
-//! list as a delta-encoded LEB128 varint stream instead, cutting the rank
-//! bytes to ~1–2 per entry while keeping distances as a flat `f64` array
-//! (distances are arbitrary weight sums; lossy compression would break the
-//! bit-identical query contract).
-//!
-//! The streams are grouped into **per-node blocks** addressed by a byte
-//! offset array, so the structure keeps the CSR's `O(1)` slice addressing:
-//! a scatter query jumps straight to node `v`'s `(byte block, dist slice)`
-//! pair and decodes it in one forward pass — exactly the pass the query
-//! performs anyway. See `crates/distance/src/README.md` for the byte-level
-//! format specification and decode invariants.
-//!
-//! [`LabelStore`] is the runtime storage dispatcher over the full
-//! four-way backend matrix (rank plane × distance plane, the latter in
-//! [`dict`](crate::dict)): every query surface ([`LabelStore::query`],
+//! [`LabelStorage`] names the three physical representations a built
+//! index can keep its labels in, and [`LabelStore`] is the runtime
+//! dispatcher over them: every query surface ([`LabelStore::query`],
 //! [`SourceScatter`](crate::scatter::SourceScatter)) evaluates the same
 //! sums over the same common hubs in the same ascending rank order for
 //! every backend, so results are **bit-identical** across storages —
 //! enforced by `tests/proptest_codec.rs` and `tests/proptest_scatter.rs`.
+//!
+//! The module also owns the rank-plane codec of
+//! [`CompressedDictLabelSet`]: hub ranks ascend strictly within every
+//! node's label, so the information content of an entry is its *gap* to
+//! the previous rank, which on paper-scale graphs is almost always a
+//! small integer. Each node's rank list is stored as one delta-encoded
+//! LEB128 varint block (`write_varint`, `gap`, `PREV_NONE`),
+//! cutting the rank bytes to ~1–2 per entry. See
+//! `crates/distance/src/README.md` for the byte-level format
+//! specification and decode invariants.
 
 use crate::dict::{CompressedDictLabelSet, DictDecoder, DictEntries, DictLabelSet};
-use crate::label::{
-    merge_join_entries, LabelEntry, LabelRef, LabelSet, LabelSetBuilder, LabelStats,
-};
-use crate::plane::Plane;
-
-#[cfg(test)]
-use crate::label::merge_join_min;
+use crate::label::{LabelEntry, LabelRef, LabelSet, LabelStats};
 
 /// Which physical representation a built index keeps its labels in.
 ///
-/// The storage matrix is two orthogonal axes — the **rank plane** (flat
-/// `u32` CSR array vs. delta+varint blocks) × the **distance plane**
-/// (flat `f64` array vs. dictionary codes into a sorted value table) —
-/// giving four backends. All four answer every query bit-identically;
-/// the choice trades memory footprint against per-entry decode work on
-/// the query scan. Threaded through `BuildConfig::storage`,
+/// The storage matrix has two axes — the **rank plane** (flat `u32` CSR
+/// array vs. delta+varint blocks) × the **distance plane** (flat `f64`
+/// array vs. dictionary codes into a sorted value table) — of which
+/// three combinations are backends (varint ranks with flat distances is
+/// dominated by [`LabelStorage::CsrDict`] on memory, scan time and load
+/// time, so it is not offered). All three answer every query bit-identically; the
+/// choice trades memory footprint against per-entry decode work on the
+/// query scan. Threaded through `BuildConfig::storage`,
 /// `DiscoveryOptions::pll_build`, and `experiments --pll-storage`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum LabelStorage {
     /// Flat CSR arrays: `u32` ranks + `f64` dists ([`LabelSet`]).
     #[default]
     Csr,
-    /// Delta+varint rank blocks + flat `f64` dists
-    /// ([`CompressedLabelSet`]).
-    Compressed,
     /// Flat CSR `u32` ranks + dictionary-coded dists
     /// ([`DictLabelSet`]).
     CsrDict,
@@ -61,11 +47,9 @@ pub enum LabelStorage {
 
 impl LabelStorage {
     /// Every backend, in CSR-first order — what backend sweeps (benches,
-    /// equivalence proptests) iterate. Parallel to [`LabelStorage::NAMES`]
-    /// and to the on-disk storage tag of `persist.rs`.
-    pub const ALL: [LabelStorage; 4] = [
+    /// equivalence proptests) iterate. Parallel to [`LabelStorage::NAMES`].
+    pub const ALL: [LabelStorage; 3] = [
         LabelStorage::Csr,
-        LabelStorage::Compressed,
         LabelStorage::CsrDict,
         LabelStorage::CompressedDict,
     ];
@@ -75,10 +59,10 @@ impl LabelStorage {
     /// display name ([`LabelStorage::name`]) and every usage/error string
     /// ([`LabelStorage::usage`]) derive from, so adding a backend cannot
     /// leave a stale CLI list behind.
-    pub const NAMES: [&'static str; 4] = ["csr", "compressed", "csr-dict", "compressed-dict"];
+    pub const NAMES: [&'static str; 3] = ["csr", "csr-dict", "compressed-dict"];
 
     /// Parses a CLI name
-    /// (`"csr"` / `"compressed"` / `"csr-dict"` / `"compressed-dict"`).
+    /// (`"csr"` / `"csr-dict"` / `"compressed-dict"`).
     ///
     /// ```
     /// use atd_distance::LabelStorage;
@@ -101,7 +85,7 @@ impl LabelStorage {
         LabelStorage::NAMES[self as usize]
     }
 
-    /// The `|`-joined backend list (`"csr|compressed|…"`) for usage
+    /// The `|`-joined backend list (`"csr|csr-dict|compressed-dict"`) for usage
     /// strings and unknown-name error messages.
     ///
     /// ```
@@ -203,233 +187,6 @@ pub(crate) fn read_varint(bytes: &[u8], pos: &mut usize) -> u32 {
 /// and the decode loop needs no first-entry branch.
 pub(crate) const PREV_NONE: u32 = u32::MAX;
 
-/// The label lists of every node as per-node delta+varint blocks.
-///
-/// Layout (see the format spec in `crates/distance/src/README.md`):
-///
-/// * `offsets[v]..offsets[v+1]` — node `v`'s slice of the flat `dists`
-///   array (identical addressing to the CSR store);
-/// * `byte_offsets[v]..byte_offsets[v+1]` — node `v`'s block of
-///   `rank_bytes`, holding one varint gap per entry.
-///
-/// ```
-/// use atd_distance::{CompressedLabelSet, LabelEntry, LabelSet};
-/// let lists = vec![
-///     vec![
-///         LabelEntry { hub_rank: 0, dist: 0.0 },
-///         LabelEntry { hub_rank: 700, dist: 2.5 },
-///     ],
-///     vec![LabelEntry { hub_rank: 3, dist: 1.0 }],
-/// ];
-/// let csr = LabelSet::from_lists(&lists);
-/// let compressed = CompressedLabelSet::from_lists(&lists);
-/// // Same entries, same query answers (to the bit).
-/// assert_eq!(compressed.decode(0).collect::<Vec<_>>(), lists[0]);
-/// assert_eq!(compressed.query(0, 1).to_bits(), csr.query(0, 1).to_bits());
-/// ```
-///
-/// The footprint win appears once labels have realistic lengths (the
-/// per-node byte-offset array costs 4 bytes, each entry saves ~2–3): on
-/// the shared 2270-node testbed the compressed store is ~25% smaller —
-/// 75.5% of the CSR baseline (see `LabelStats::bytes` and the README's
-/// index memory table).
-#[derive(Clone, Debug, Default)]
-pub struct CompressedLabelSet {
-    // Planes are borrowed-or-owned (`Plane`); encoders write through
-    // `vec_mut()` (copy-on-write), readers through `Deref` slices.
-    /// Entry offsets into `dists`; `offsets[v]..offsets[v+1]` is node `v`.
-    pub(crate) offsets: Plane<u32>,
-    /// Byte offsets into `rank_bytes`; one block per node.
-    pub(crate) byte_offsets: Plane<u32>,
-    /// Concatenated per-node varint gap streams.
-    pub(crate) rank_bytes: Plane<u8>,
-    /// All distances, flat and uncompressed, parallel to decode order.
-    pub(crate) dists: Plane<f64>,
-}
-
-impl CompressedLabelSet {
-    /// An empty compressed label set for `n` nodes.
-    pub fn new(n: usize) -> Self {
-        CompressedLabelSet {
-            offsets: vec![0; n + 1].into(),
-            byte_offsets: vec![0; n + 1].into(),
-            rank_bytes: Plane::new(),
-            dists: Plane::new(),
-        }
-    }
-
-    /// Builds a compressed set from per-node entry lists (each strictly
-    /// ascending in hub rank). Convenience for tests and fixtures; the PLL
-    /// builder uses [`LabelSetBuilder::finish_compressed`].
-    pub fn from_lists(lists: &[Vec<LabelEntry>]) -> Self {
-        let total: usize = lists.iter().map(|l| l.len()).sum();
-        assert!(total <= u32::MAX as usize, "label store overflow");
-        let mut out = CompressedLabelSet {
-            offsets: Vec::with_capacity(lists.len() + 1).into(),
-            byte_offsets: Vec::with_capacity(lists.len() + 1).into(),
-            rank_bytes: Plane::new(),
-            dists: Vec::with_capacity(total).into(),
-        };
-        out.offsets.vec_mut().push(0);
-        out.byte_offsets.vec_mut().push(0);
-        for list in lists {
-            out.encode_node(list.iter().copied());
-        }
-        out
-    }
-
-    /// Re-encodes an existing CSR label set.
-    pub fn from_label_set(labels: &LabelSet) -> Self {
-        let n = labels.num_nodes();
-        let mut out = CompressedLabelSet {
-            offsets: Vec::with_capacity(n + 1).into(),
-            byte_offsets: Vec::with_capacity(n + 1).into(),
-            rank_bytes: Plane::new(),
-            dists: Vec::with_capacity(labels.stats().total_entries).into(),
-        };
-        out.offsets.vec_mut().push(0);
-        out.byte_offsets.vec_mut().push(0);
-        for v in 0..n {
-            out.encode_node(labels.of(v).iter());
-        }
-        out
-    }
-
-    /// Appends one node's label — entries in strictly ascending hub rank —
-    /// as the next group block, and seals it. The single write path every
-    /// constructor funnels through, so all construction routes produce
-    /// byte-identical stores (proptested in `tests/proptest_codec.rs`).
-    fn encode_node(&mut self, entries: impl IntoIterator<Item = LabelEntry>) {
-        let mut prev = PREV_NONE;
-        for e in entries {
-            debug_assert!(
-                prev == PREV_NONE || prev < e.hub_rank,
-                "label entries must ascend strictly in hub rank"
-            );
-            write_varint(gap(prev, e.hub_rank), self.rank_bytes.vec_mut());
-            self.dists.vec_mut().push(e.dist);
-            prev = e.hub_rank;
-        }
-        self.close_block();
-    }
-
-    /// Seals the current node's block (records both end offsets).
-    fn close_block(&mut self) {
-        assert!(
-            self.dists.len() <= u32::MAX as usize && self.rank_bytes.len() <= u32::MAX as usize,
-            "label store overflow"
-        );
-        let dists_len = self.dists.len() as u32;
-        let bytes_len = self.rank_bytes.len() as u32;
-        self.offsets.vec_mut().push(dists_len);
-        self.byte_offsets.vec_mut().push(bytes_len);
-    }
-
-    /// Number of indexed nodes.
-    #[inline]
-    pub fn num_nodes(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Node `v`'s raw `(varint block, dist slice)` pair — the `O(1)` slice
-    /// addressing the per-node grouping preserves.
-    #[inline]
-    pub(crate) fn block(&self, node: usize) -> (&[u8], &[f64]) {
-        let lo = self.offsets[node] as usize;
-        let hi = self.offsets[node + 1] as usize;
-        let blo = self.byte_offsets[node] as usize;
-        let bhi = self.byte_offsets[node + 1] as usize;
-        (&self.rank_bytes[blo..bhi], &self.dists[lo..hi])
-    }
-
-    /// Decodes node `v`'s label: an iterator of entries in strictly
-    /// ascending hub rank — the same sequence the CSR store's
-    /// [`LabelRef::iter`](crate::label::LabelRef::iter) yields.
-    #[inline]
-    pub fn decode(&self, node: usize) -> LabelDecoder<'_> {
-        let (bytes, dists) = self.block(node);
-        LabelDecoder {
-            bytes,
-            dists,
-            pos: 0,
-            next: 0,
-            prev: PREV_NONE,
-        }
-    }
-
-    /// Merge-join query over two decoded streams: minimum
-    /// `d(u, hub) + d(hub, v)` over common hubs, `f64::INFINITY` when the
-    /// labels share none. Bit-identical to [`LabelSet::query`] — same
-    /// sums over the same hubs in the same ascending order.
-    pub fn query(&self, u: usize, v: usize) -> f64 {
-        merge_join_entries(self.decode(u), self.decode(v))
-    }
-
-    /// A copy of this store with the blocks of `dirty` nodes (sorted,
-    /// deduplicated indices) re-encoded from their lists in `work`; clean
-    /// blocks are copied byte-for-byte. Every dirty block goes through
-    /// [`CompressedLabelSet::encode_node`] — the single write path all
-    /// constructors use — so the result is byte-identical to a
-    /// from-scratch encode of the final lists (`crate::incremental`).
-    pub(crate) fn patched(&self, work: &[Vec<LabelEntry>], dirty: &[usize]) -> CompressedLabelSet {
-        let n = self.num_nodes();
-        debug_assert_eq!(work.len(), n);
-        debug_assert!(dirty.windows(2).all(|w| w[0] < w[1]), "dirty must ascend");
-        // Patching always emits a fully owned store (even over an
-        // mmap-backed one): clean blocks are *copied* byte-for-byte, so
-        // the shared mapping is never written through.
-        let mut out = CompressedLabelSet {
-            offsets: Vec::with_capacity(n + 1).into(),
-            byte_offsets: Vec::with_capacity(n + 1).into(),
-            rank_bytes: Plane::new(),
-            dists: Plane::new(),
-        };
-        out.offsets.vec_mut().push(0);
-        out.byte_offsets.vec_mut().push(0);
-        let mut di = 0usize;
-        for (v, wv) in work.iter().enumerate() {
-            if dirty.get(di) == Some(&v) {
-                di += 1;
-                out.encode_node(wv.iter().copied());
-            } else {
-                let (bytes, dists) = self.block(v);
-                out.rank_bytes.vec_mut().extend_from_slice(bytes);
-                out.dists.vec_mut().extend_from_slice(dists);
-                out.close_block();
-            }
-        }
-        out
-    }
-
-    /// True when any plane borrows from a mapped index file.
-    pub(crate) fn is_zero_copy(&self) -> bool {
-        self.offsets.is_mapped()
-            || self.byte_offsets.is_mapped()
-            || self.rank_bytes.is_mapped()
-            || self.dists.is_mapped()
-    }
-
-    /// Computes summary statistics. `bytes` counts all four arrays —
-    /// the figure to compare against the CSR baseline.
-    pub fn stats(&self) -> LabelStats {
-        let nodes = self.num_nodes();
-        let max_entries = (0..nodes)
-            .map(|v| (self.offsets[v + 1] - self.offsets[v]) as usize)
-            .max()
-            .unwrap_or(0);
-        LabelStats::from_parts(
-            nodes,
-            self.dists.len(),
-            max_entries,
-            std::mem::size_of::<u32>() * (self.offsets.len() + self.byte_offsets.len()),
-            self.rank_bytes.len(),
-            std::mem::size_of::<f64>() * self.dists.len(),
-            0,
-            0,
-        )
-    }
-}
-
 /// The gap the encoder stores for `rank` after `prev` (`PREV_NONE` before
 /// the first entry): `rank - prev - 1` in wrapping arithmetic, so the
 /// first entry stores its absolute rank and every later one its strict
@@ -439,48 +196,10 @@ pub(crate) fn gap(prev: u32, rank: u32) -> u32 {
     rank.wrapping_sub(prev).wrapping_sub(1)
 }
 
-/// Streaming decoder over one node's compressed block (strictly ascending
-/// hub rank, same order as the CSR slice walk).
-#[derive(Clone, Debug)]
-pub struct LabelDecoder<'a> {
-    bytes: &'a [u8],
-    dists: &'a [f64],
-    /// Read cursor into `bytes`.
-    pos: usize,
-    /// Next entry index (parallel cursor into `dists`).
-    next: usize,
-    /// Previously decoded rank (`PREV_NONE` before the first entry).
-    prev: u32,
-}
-
-impl Iterator for LabelDecoder<'_> {
-    type Item = LabelEntry;
-
-    #[inline]
-    fn next(&mut self) -> Option<LabelEntry> {
-        let dist = *self.dists.get(self.next)?;
-        let delta = read_varint(self.bytes, &mut self.pos);
-        let rank = self.prev.wrapping_add(delta).wrapping_add(1);
-        self.prev = rank;
-        self.next += 1;
-        Some(LabelEntry {
-            hub_rank: rank,
-            dist,
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.dists.len() - self.next;
-        (rem, Some(rem))
-    }
-}
-
-impl ExactSizeIterator for LabelDecoder<'_> {}
-
 /// A built label index in whichever physical storage the build selected.
 ///
 /// All query surfaces dispatch on the variant once per call and then run
-/// a storage-specialized loop; both backends produce bit-identical
+/// a storage-specialized loop; every backend produces bit-identical
 /// results (same sums over the same common hubs in the same order).
 ///
 /// ```
@@ -497,8 +216,6 @@ impl ExactSizeIterator for LabelDecoder<'_> {}
 pub enum LabelStore {
     /// Flat CSR arrays.
     Csr(LabelSet),
-    /// Delta+varint per-node blocks, flat dists.
-    Compressed(CompressedLabelSet),
     /// Flat CSR ranks, dictionary-coded dists.
     CsrDict(DictLabelSet),
     /// Delta+varint rank blocks, dictionary-coded dists.
@@ -508,12 +225,6 @@ pub enum LabelStore {
 impl From<LabelSet> for LabelStore {
     fn from(labels: LabelSet) -> Self {
         LabelStore::Csr(labels)
-    }
-}
-
-impl From<CompressedLabelSet> for LabelStore {
-    fn from(labels: CompressedLabelSet) -> Self {
-        LabelStore::Compressed(labels)
     }
 }
 
@@ -535,7 +246,6 @@ impl LabelStore {
     pub fn storage(&self) -> LabelStorage {
         match self {
             LabelStore::Csr(_) => LabelStorage::Csr,
-            LabelStore::Compressed(_) => LabelStorage::Compressed,
             LabelStore::CsrDict(_) => LabelStorage::CsrDict,
             LabelStore::CompressedDict(_) => LabelStorage::CompressedDict,
         }
@@ -556,7 +266,6 @@ impl LabelStore {
     pub fn num_nodes(&self) -> usize {
         match self {
             LabelStore::Csr(l) => l.num_nodes(),
-            LabelStore::Compressed(l) => l.num_nodes(),
             LabelStore::CsrDict(l) => l.num_nodes(),
             LabelStore::CompressedDict(l) => l.num_nodes(),
         }
@@ -572,7 +281,6 @@ impl LabelStore {
                     label: l.of(node),
                     next: 0,
                 },
-                LabelStore::Compressed(l) => EntriesInner::Compressed(l.decode(node)),
                 LabelStore::CsrDict(l) => EntriesInner::CsrDict(l.entries(node)),
                 LabelStore::CompressedDict(l) => EntriesInner::CompressedDict(l.decode(node)),
             },
@@ -584,7 +292,6 @@ impl LabelStore {
     pub fn query(&self, u: usize, v: usize) -> f64 {
         match self {
             LabelStore::Csr(l) => l.query(u, v),
-            LabelStore::Compressed(l) => l.query(u, v),
             LabelStore::CsrDict(l) => l.query(u, v),
             LabelStore::CompressedDict(l) => l.query(u, v),
         }
@@ -595,7 +302,6 @@ impl LabelStore {
     pub fn stats(&self) -> LabelStats {
         match self {
             LabelStore::Csr(l) => l.stats(),
-            LabelStore::Compressed(l) => l.stats(),
             LabelStore::CsrDict(l) => l.stats(),
             LabelStore::CompressedDict(l) => l.stats(),
         }
@@ -614,7 +320,6 @@ impl LabelStore {
         if let LabelStore::Csr(l) = self {
             return match storage {
                 LabelStorage::Csr => unreachable!("handled by the equal-storage case"),
-                LabelStorage::Compressed => CompressedLabelSet::from_label_set(l).stats(),
                 LabelStorage::CsrDict => DictLabelSet::from_label_set(l).stats(),
                 LabelStorage::CompressedDict => CompressedDictLabelSet::from_label_set(l).stats(),
             };
@@ -624,7 +329,6 @@ impl LabelStore {
             .collect();
         match storage {
             LabelStorage::Csr => LabelSet::from_lists(&lists).stats(),
-            LabelStorage::Compressed => CompressedLabelSet::from_lists(&lists).stats(),
             LabelStorage::CsrDict => DictLabelSet::from_lists(&lists).stats(),
             LabelStorage::CompressedDict => CompressedDictLabelSet::from_lists(&lists).stats(),
         }
@@ -639,7 +343,6 @@ impl LabelStore {
     pub fn is_zero_copy(&self) -> bool {
         match self {
             LabelStore::Csr(l) => l.is_zero_copy(),
-            LabelStore::Compressed(l) => l.is_zero_copy(),
             LabelStore::CsrDict(l) => l.is_zero_copy(),
             LabelStore::CompressedDict(l) => l.is_zero_copy(),
         }
@@ -654,7 +357,6 @@ pub struct LabelEntries<'a> {
 
 enum EntriesInner<'a> {
     Csr { label: LabelRef<'a>, next: usize },
-    Compressed(LabelDecoder<'a>),
     CsrDict(DictEntries<'a>),
     CompressedDict(DictDecoder<'a>),
 }
@@ -674,7 +376,6 @@ impl Iterator for LabelEntries<'_> {
                     dist,
                 })
             }
-            EntriesInner::Compressed(d) => d.next(),
             EntriesInner::CsrDict(d) => d.next(),
             EntriesInner::CompressedDict(d) => d.next(),
         }
@@ -686,7 +387,6 @@ impl Iterator for LabelEntries<'_> {
                 let rem = label.len() - next;
                 (rem, Some(rem))
             }
-            EntriesInner::Compressed(d) => d.size_hint(),
             EntriesInner::CsrDict(d) => d.size_hint(),
             EntriesInner::CompressedDict(d) => d.size_hint(),
         }
@@ -695,49 +395,28 @@ impl Iterator for LabelEntries<'_> {
 
 impl ExactSizeIterator for LabelEntries<'_> {}
 
-impl LabelSetBuilder {
-    /// Converts the journaled labels straight to the compressed store —
-    /// the uncompressed CSR arrays are **never materialized**. `O(nodes +
-    /// entries)` time; the only scratch is one reversal buffer bounded by
-    /// the largest single label (the builder's chains are newest-first,
-    /// the encoder needs ascending order).
-    pub fn finish_compressed(self) -> CompressedLabelSet {
-        let n = self.num_nodes();
-        let total = self.total_entries();
-        let mut out = CompressedLabelSet {
-            offsets: Vec::with_capacity(n + 1).into(),
-            byte_offsets: Vec::with_capacity(n + 1).into(),
-            rank_bytes: Plane::new(),
-            dists: Vec::with_capacity(total).into(),
-        };
-        out.offsets.vec_mut().push(0);
-        out.byte_offsets.vec_mut().push(0);
-        let mut scratch: Vec<LabelEntry> = Vec::new();
-        for v in 0..n {
-            scratch.clear();
-            scratch.extend(self.entries(v)); // newest first = descending
-            out.encode_node(scratch.iter().rev().copied());
-        }
-        out
-    }
-}
-
-/// Two-stream compressed merge-join used by tests to cross-check
-/// [`CompressedLabelSet::query`] against the slice-level
-/// [`merge_join_min`]; kept here so the codec module owns both sides of
-/// the equivalence.
-#[cfg(test)]
-fn reference_query(csr: &LabelSet, u: usize, v: usize) -> f64 {
-    let (a, b) = (csr.of(u), csr.of(v));
-    merge_join_min(a.hub_ranks, a.dists, b.hub_ranks, b.dists)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::label::{merge_join_min, LabelSetBuilder};
 
     fn e(hub_rank: u32, dist: f64) -> LabelEntry {
         LabelEntry { hub_rank, dist }
+    }
+
+    /// Every backend's store over the same lists.
+    fn stores(lists: &[Vec<LabelEntry>]) -> [LabelStore; 3] {
+        [
+            LabelStore::from(LabelSet::from_lists(lists)),
+            LabelStore::from(DictLabelSet::from_lists(lists)),
+            LabelStore::from(CompressedDictLabelSet::from_lists(lists)),
+        ]
+    }
+
+    /// The slice-level merge-join every backend's query must match.
+    fn reference_query(csr: &LabelSet, u: usize, v: usize) -> f64 {
+        let (a, b) = (csr.of(u), csr.of(v));
+        merge_join_min(a.hub_ranks, a.dists, b.hub_ranks, b.dists)
     }
 
     #[test]
@@ -822,7 +501,7 @@ mod tests {
             vec![],
             vec![e(3, 0.5), e(4, 4.0)],
         ];
-        let c = CompressedLabelSet::from_lists(&lists);
+        let c = CompressedDictLabelSet::from_lists(&lists);
         assert_eq!(c.num_nodes(), 3);
         for (v, list) in lists.iter().enumerate() {
             let decoded: Vec<LabelEntry> = c.decode(v).collect();
@@ -834,10 +513,10 @@ mod tests {
     #[test]
     fn first_entry_stores_absolute_rank() {
         // rank 0 encodes as gap 0 (prev = -1); rank 5 first encodes as 5.
-        let c = CompressedLabelSet::from_lists(&[vec![e(5, 1.0), e(6, 2.0)]]);
-        let (bytes, dists) = c.block(0);
+        let c = CompressedDictLabelSet::from_lists(&[vec![e(5, 1.0), e(6, 2.0)]]);
+        let (bytes, lo, hi) = c.block(0);
         assert_eq!(bytes, &[5u8, 0u8], "gap-minus-one encoding");
-        assert_eq!(dists.len(), 2);
+        assert_eq!(hi - lo, 2);
     }
 
     #[test]
@@ -849,14 +528,16 @@ mod tests {
             vec![],
         ];
         let csr = LabelSet::from_lists(&lists);
-        let c = CompressedLabelSet::from_lists(&lists);
-        for u in 0..lists.len() {
-            for v in 0..lists.len() {
-                assert_eq!(
-                    c.query(u, v).to_bits(),
-                    reference_query(&csr, u, v).to_bits(),
-                    "({u},{v})"
-                );
+        for store in stores(&lists) {
+            for u in 0..lists.len() {
+                for v in 0..lists.len() {
+                    assert_eq!(
+                        store.query(u, v).to_bits(),
+                        reference_query(&csr, u, v).to_bits(),
+                        "{:?} ({u},{v})",
+                        store.storage()
+                    );
+                }
             }
         }
     }
@@ -864,13 +545,20 @@ mod tests {
     #[test]
     fn stats_count_real_bytes() {
         let lists = vec![vec![e(0, 0.0)], vec![e(0, 1.0), e(1, 0.0)], vec![]];
-        let c = CompressedLabelSet::from_lists(&lists);
+        let c = CompressedDictLabelSet::from_lists(&lists);
         let s = c.stats();
         assert_eq!(s.nodes, 3);
         assert_eq!(s.total_entries, 3);
         assert_eq!(s.max_entries, 2);
-        // 2×4 offset arrays of 4 u32s, 3 one-byte varints, 3 f64 dists.
-        assert_eq!(s.bytes, 2 * 4 * 4 + 3 + 3 * 8);
+        // 2×4 offset arrays of 4 u32s, 3 one-byte varints, 3 u8 codes,
+        // a 2-value f64 table.
+        assert_eq!(s.bytes, 2 * 4 * 4 + 3 + 3 + 2 * 8);
+        // `stats_in` reports what a real re-encode would, from any backend.
+        for from in stores(&lists) {
+            for to in stores(&lists) {
+                assert_eq!(from.stats_in(to.storage()), to.stats());
+            }
+        }
     }
 
     #[test]
@@ -886,23 +574,24 @@ mod tests {
                     .collect::<Vec<_>>()
             })
             .collect();
-        let csr = LabelSet::from_lists(&lists).stats();
-        let comp = CompressedLabelSet::from_lists(&lists).stats();
-        assert_eq!(csr.total_entries, comp.total_entries);
+        let flat = DictLabelSet::from_lists(&lists).stats();
+        let comp = CompressedDictLabelSet::from_lists(&lists).stats();
+        assert_eq!(flat.total_entries, comp.total_entries);
         assert!(
-            comp.bytes < csr.bytes,
-            "compressed {} !< csr {}",
-            comp.bytes,
-            csr.bytes
+            comp.offsets_bytes + comp.ranks_bytes < flat.offsets_bytes + flat.ranks_bytes,
+            "varint rank plane {comp:?} !< flat u32 ranks {flat:?}"
         );
+        assert!(comp.bytes < flat.bytes);
     }
 
     #[test]
     fn builder_finish_compressed_matches_from_lists() {
+        // The builder's finish writes the same varint blocks, byte for
+        // byte, as the list and CSR encoders.
         let lists = vec![
             vec![e(0, 0.25), e(3, 1.5), e(7, 2.0)],
             vec![],
-            vec![e(1, 0.5), e(2, 4.0)],
+            vec![e(1, 0.5), e(2, 4.0), e(300, 1.0)],
         ];
         let mut b = LabelSetBuilder::new(3);
         let mut flat: Vec<(usize, LabelEntry)> = Vec::new();
@@ -915,21 +604,25 @@ mod tests {
         for (v, entry) in flat {
             b.push(v, entry);
         }
-        let c = b.finish_compressed();
-        let reference = CompressedLabelSet::from_lists(&lists);
-        for v in 0..3 {
+        let c = b.finish_compressed_dict();
+        let reference = CompressedDictLabelSet::from_lists(&lists);
+        assert_eq!(&c.rank_bytes[..], &reference.rank_bytes[..]);
+        assert_eq!(&c.byte_offsets[..], &reference.byte_offsets[..]);
+        assert_eq!(&c.offsets[..], &reference.offsets[..]);
+        for (v, want) in lists.iter().enumerate() {
             let got: Vec<LabelEntry> = c.decode(v).collect();
-            let want: Vec<LabelEntry> = reference.decode(v).collect();
-            assert_eq!(got, want, "node {v}");
+            assert_eq!(&got, want, "node {v}");
         }
-        assert_eq!(c.stats(), reference.stats());
     }
 
     #[test]
     fn from_label_set_roundtrips() {
-        let lists = vec![vec![e(2, 1.0), e(5, 0.5), e(130, 3.0)], vec![e(0, 0.0)]];
+        // Gaps of 2, 3 and 125 (one byte) and an absolute 130 (two bytes).
+        let lists = vec![vec![e(2, 1.0), e(5, 0.5), e(130, 3.0)], vec![e(130, 0.0)]];
         let csr = LabelSet::from_lists(&lists);
-        let c = CompressedLabelSet::from_label_set(&csr);
+        let c = CompressedDictLabelSet::from_label_set(&csr);
+        assert_eq!(c.block(0).0.len(), 3);
+        assert_eq!(c.block(1).0.len(), 2);
         for (v, list) in lists.iter().enumerate() {
             let got: Vec<LabelEntry> = c.decode(v).collect();
             assert_eq!(&got, list);
@@ -939,10 +632,9 @@ mod tests {
     #[test]
     fn store_dispatch_agrees() {
         let lists = vec![vec![e(0, 1.0), e(2, 0.5)], vec![e(0, 2.0)], vec![]];
-        let csr = LabelStore::from(LabelSet::from_lists(&lists));
-        let comp = LabelStore::from(CompressedLabelSet::from_lists(&lists));
+        let [csr, _, comp] = stores(&lists);
         assert_eq!(csr.storage(), LabelStorage::Csr);
-        assert_eq!(comp.storage(), LabelStorage::Compressed);
+        assert_eq!(comp.storage(), LabelStorage::CompressedDict);
         assert!(csr.as_csr().is_some());
         assert!(comp.as_csr().is_none());
         assert_eq!(csr.num_nodes(), comp.num_nodes());
@@ -950,6 +642,7 @@ mod tests {
             let a: Vec<LabelEntry> = csr.entries(u).collect();
             let b: Vec<LabelEntry> = comp.entries(u).collect();
             assert_eq!(a, b, "entries of {u}");
+            assert_eq!(comp.entries(u).len(), a.len());
             for v in 0..3 {
                 assert_eq!(csr.query(u, v).to_bits(), comp.query(u, v).to_bits());
             }
@@ -959,21 +652,24 @@ mod tests {
 
     #[test]
     fn empty_store_is_consistent() {
-        let c = CompressedLabelSet::new(2);
-        assert_eq!(c.num_nodes(), 2);
-        assert_eq!(c.decode(0).count(), 0);
-        assert_eq!(c.query(0, 1), f64::INFINITY);
-        assert_eq!(c.stats().total_entries, 0);
+        for store in stores(&[vec![], vec![]]) {
+            assert_eq!(store.num_nodes(), 2);
+            assert_eq!(store.entries(0).count(), 0);
+            assert_eq!(store.query(0, 1), f64::INFINITY);
+            assert_eq!(store.stats().total_entries, 0);
+        }
     }
 
     #[test]
     fn storage_parse() {
         assert_eq!(LabelStorage::parse("csr"), Some(LabelStorage::Csr));
         assert_eq!(
-            LabelStorage::parse("compressed"),
-            Some(LabelStorage::Compressed)
+            LabelStorage::parse("compressed-dict"),
+            Some(LabelStorage::CompressedDict)
         );
+        assert_eq!(LabelStorage::parse("compressed"), None);
         assert_eq!(LabelStorage::parse("flat"), None);
         assert_eq!(LabelStorage::default(), LabelStorage::Csr);
+        assert_eq!(LabelStorage::usage(), "csr|csr-dict|compressed-dict");
     }
 }

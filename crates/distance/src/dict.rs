@@ -1,8 +1,8 @@
 //! Dictionary-encoded distance planes — per-index `f64` value tables
 //! with narrow integer codes.
 //!
-//! PR 3 compressed the *rank* side of the label store; the flat `f64`
-//! distance array then dominates the footprint (8 of ~9.3 bytes per entry
+//! Varint rank blocks shrink the *rank* side of the label store; the flat
+//! `f64` distance array then dominates the footprint (8 of ~9.3 bytes per entry
 //! on the 2270-node testbed). But distances in this system are sums of
 //! normalized Jaccard edge weights over shortest paths, so the value
 //! universe is small and heavily repeated: ~50K distinct values across
@@ -23,8 +23,8 @@
 //! The plane is orthogonal to the rank encoding: [`DictLabelSet`] pairs
 //! it with flat CSR ranks ([`LabelStorage::CsrDict`]),
 //! [`CompressedDictLabelSet`] with delta+varint rank blocks
-//! ([`LabelStorage::CompressedDict`]) — the four-way storage matrix is
-//! dispatched by [`LabelStore`]. See `crates/distance/src/README.md` for
+//! ([`LabelStorage::CompressedDict`]) — the backends are dispatched by
+//! [`LabelStore`]. See `crates/distance/src/README.md` for
 //! the byte-level format and decode invariants.
 //!
 //! [`LabelStorage::CsrDict`]: crate::codec::LabelStorage::CsrDict
@@ -557,10 +557,10 @@ impl ExactSizeIterator for DictEntries<'_> {}
 /// ([`LabelStorage::CompressedDict`](crate::codec::LabelStorage::CompressedDict))
 /// — both planes compressed, the smallest backend.
 ///
-/// The rank side is byte-identical to
-/// [`CompressedLabelSet`](crate::codec::CompressedLabelSet)'s blocks; the
-/// distance side replaces the flat `f64` array with [`DistDict`] codes at
-/// the same entry offsets, so per-node addressing stays `O(1)`.
+/// The rank side is one delta+varint block per node (the codec in
+/// [`codec`](crate::codec)); the distance side is [`DistDict`] codes at
+/// the same entry offsets as the flat backends, so per-node addressing
+/// stays `O(1)` through the two offset arrays.
 ///
 /// ```
 /// use atd_distance::{CompressedDictLabelSet, LabelEntry, LabelSet};
@@ -583,8 +583,8 @@ pub struct CompressedDictLabelSet {
     pub(crate) offsets: Plane<u32>,
     /// Byte offsets into `rank_bytes`; one block per node.
     pub(crate) byte_offsets: Plane<u32>,
-    /// Concatenated per-node varint gap streams (same encoding as
-    /// [`CompressedLabelSet`](crate::codec::CompressedLabelSet)).
+    /// Concatenated per-node varint gap streams (see
+    /// [`codec`](crate::codec)).
     pub(crate) rank_bytes: Plane<u8>,
     /// Dictionary-encoded distances, parallel to decode order.
     pub(crate) dists: DistDict,

@@ -425,7 +425,6 @@ pub fn refresh(
     dirty_nodes.sort_unstable();
     let store = match pll.labels() {
         LabelStore::Csr(l) => LabelStore::Csr(l.patched(&work, &dirty_nodes)),
-        LabelStore::Compressed(l) => LabelStore::Compressed(l.patched(&work, &dirty_nodes)),
         LabelStore::CsrDict(l) => LabelStore::CsrDict(l.patched(&work, &dirty_nodes)),
         LabelStore::CompressedDict(l) => LabelStore::CompressedDict(l.patched(&work, &dirty_nodes)),
     };

@@ -12,15 +12,16 @@
 //! * [`PrunedLandmarkLabeling`] — a weighted-graph PLL index: for each node
 //!   a small sorted list of `(hub, distance)` labels such that every
 //!   shortest path is covered by some common hub. Labels live in a
-//!   [`LabelStore`] whose backend is two orthogonal planes — flat CSR
-//!   ([`LabelSet`]) or delta+varint ([`CompressedLabelSet`]) hub ranks ×
-//!   flat `f64` or dictionary-coded ([`DistDict`]) distances — selected
-//!   by [`BuildConfig::storage`]; pairwise queries are a merge-join over
+//!   [`LabelStore`] whose backend is one of three plane pairs — flat
+//!   CSR ([`LabelSet`]), flat ranks with dictionary-coded ([`DistDict`])
+//!   distances ([`DictLabelSet`]), or delta+varint ranks with dictionary
+//!   codes ([`CompressedDictLabelSet`]) — selected by
+//!   [`BuildConfig::storage`]; pairwise queries are a merge-join over
 //!   two label streams and are bit-identical across backends. Construction is
 //!   a batch-synchronous parallel build ([`BuildConfig`]) whose output is
 //!   bit-identical to the sequential algorithm for every thread count and
-//!   batch size (see `src/README.md`, which also carries the compressed
-//!   format spec).
+//!   batch size (see `src/README.md`, which also carries the varint
+//!   block format spec).
 //! * [`SourceScatter`] — the one-to-many query engine: scatter a source's
 //!   label once, then answer each target in `O(|label(target)|)` with no
 //!   merge. This is what makes Algorithm 1's root scan fast — one scatter
@@ -55,7 +56,7 @@ pub mod plane;
 pub mod pll;
 pub mod scatter;
 
-pub use codec::{CompressedLabelSet, LabelDecoder, LabelEntries, LabelStorage, LabelStore};
+pub use codec::{LabelEntries, LabelStorage, LabelStore};
 pub use dict::{CompressedDictLabelSet, DictDecoder, DictEntries, DictLabelSet, DistDict};
 pub use dijkstra_oracle::DijkstraOracle;
 pub use incremental::{refresh, IncrementalError, IncrementalReport};

@@ -2,7 +2,7 @@
 //!
 //! The paper's query engine is only fast because the 2-hop cover is
 //! already built — yet every process start used to pay a full PLL
-//! construction. All four [`LabelStore`] backends are flat arrays plus at
+//! construction. All three [`LabelStore`] backends are flat arrays plus at
 //! most one dictionary table, so a built index serializes to a
 //! straightforward little-endian dump that loads orders of magnitude
 //! faster than even the parallel rebuild (`O(index bytes)` instead of
@@ -68,7 +68,7 @@ use std::time::{Duration, Instant};
 
 use atd_graph::ExpertGraph;
 
-use crate::codec::{try_read_varint, CompressedLabelSet, LabelStorage, LabelStore, VarintError};
+use crate::codec::{try_read_varint, LabelStorage, LabelStore, VarintError};
 use crate::dict::{CodePlane, CompressedDictLabelSet, DictLabelSet, DistDict};
 use crate::label::LabelSet;
 use crate::mmap::MmapRegion;
@@ -957,7 +957,6 @@ fn validate_store(
 ) -> Result<(), PersistError> {
     let plane_lengths_match = match store {
         LabelStore::Csr(l) => l.hub_ranks.len() == entries && l.dists.len() == entries,
-        LabelStore::Compressed(l) => l.dists.len() == entries,
         LabelStore::CsrDict(l) => l.hub_ranks.len() == entries,
         // The code plane's length is checked with the dictionary.
         LabelStore::CompressedDict(_) => true,
@@ -969,10 +968,6 @@ fn validate_store(
         LabelStore::Csr(l) => {
             validate_offsets(&l.offsets, nodes, entries)?;
             validate_csr_ranks(&l.offsets, &l.hub_ranks)?
-        }
-        LabelStore::Compressed(l) => {
-            validate_offsets(&l.offsets, nodes, entries)?;
-            validate_varint_blocks(&l.offsets, &l.byte_offsets, &l.rank_bytes, nodes)?
         }
         LabelStore::CsrDict(l) => {
             validate_offsets(&l.offsets, nodes, entries)?;
@@ -987,7 +982,29 @@ fn validate_store(
     match store {
         LabelStore::CsrDict(l) => validate_dict(&l.dists, entries),
         LabelStore::CompressedDict(l) => validate_dict(&l.dists, entries),
-        LabelStore::Csr(_) | LabelStore::Compressed(_) => Ok(()),
+        LabelStore::Csr(_) => Ok(()),
+    }
+}
+
+/// The header's storage tag for `storage`. Tags are part of the file
+/// format, so they are fixed here rather than derived from
+/// [`LabelStorage::ALL`]: tag 1 named a removed backend (varint ranks
+/// with flat `f64` distances) and is never reused.
+fn storage_tag(storage: LabelStorage) -> u8 {
+    match storage {
+        LabelStorage::Csr => 0,
+        LabelStorage::CsrDict => 2,
+        LabelStorage::CompressedDict => 3,
+    }
+}
+
+/// The backend a header's storage tag names (inverse of [`storage_tag`]).
+fn storage_of_tag(tag: u8) -> Result<LabelStorage, PersistError> {
+    match tag {
+        0 => Ok(LabelStorage::Csr),
+        2 => Ok(LabelStorage::CsrDict),
+        3 => Ok(LabelStorage::CompressedDict),
+        _ => Err(PersistError::BadStorageTag(tag)),
     }
 }
 
@@ -1008,10 +1025,7 @@ impl Header {
     ) -> Result<Header, PersistError> {
         // Checks length >= HEADER_LEN, magic, and version.
         let fp = SnapshotFingerprint::read_from_bytes(bytes)?;
-        let tag = bytes[6];
-        let storage = *LabelStorage::ALL
-            .get(tag as usize)
-            .ok_or(PersistError::BadStorageTag(tag))?;
+        let storage = storage_of_tag(bytes[6])?;
         if bytes[7] != 0 {
             return Err(PersistError::Corrupt("reserved header byte not zero"));
         }
@@ -1074,12 +1088,6 @@ impl LabelStore {
                 w.plane(&l.hub_ranks, u32_le);
                 w.plane(&l.dists, f64_le);
             }
-            LabelStore::Compressed(l) => {
-                w.plane(&l.offsets, u32_le);
-                w.plane(&l.byte_offsets, u32_le);
-                w.plane(&l.rank_bytes, u8_le);
-                w.plane(&l.dists, f64_le);
-            }
             LabelStore::CsrDict(l) => {
                 w.plane(&l.offsets, u32_le);
                 w.plane(&l.hub_ranks, u32_le);
@@ -1097,7 +1105,7 @@ impl LabelStore {
         let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.push(self.storage() as u8);
+        out.push(storage_tag(self.storage()));
         out.push(0); // reserved
         out.extend_from_slice(&(stats.nodes as u64).to_le_bytes());
         out.extend_from_slice(&(stats.total_entries as u64).to_le_bytes());
@@ -1179,12 +1187,6 @@ impl LabelStore {
             LabelStorage::Csr => LabelStore::Csr(LabelSet {
                 offsets: cur.plane()?,
                 hub_ranks: cur.plane()?,
-                dists: cur.plane()?,
-            }),
-            LabelStorage::Compressed => LabelStore::Compressed(CompressedLabelSet {
-                offsets: cur.plane()?,
-                byte_offsets: cur.plane()?,
-                rank_bytes: cur.plane()?,
                 dists: cur.plane()?,
             }),
             LabelStorage::CsrDict => LabelStore::CsrDict(DictLabelSet {
@@ -1381,13 +1383,30 @@ mod tests {
         let l = lists();
         vec![
             LabelStore::from(LabelSet::from_lists(&l)),
-            LabelStore::from(CompressedLabelSet::from_lists(&l)),
             LabelStore::from(DictLabelSet::from_lists(&l)),
             LabelStore::from(CompressedDictLabelSet::from_lists(&l)),
         ]
     }
 
     const HASH: u64 = 0xfeed_f00d;
+
+    #[test]
+    fn storage_tags_are_pinned() {
+        // Files written before a backend was removed must keep loading as
+        // the same backend: the tag byte is format, not enum position.
+        let tags: Vec<(LabelStorage, u8)> = stores()
+            .iter()
+            .map(|s| (s.storage(), s.to_bytes(HASH)[6]))
+            .collect();
+        assert_eq!(
+            tags,
+            [
+                (LabelStorage::Csr, 0),
+                (LabelStorage::CsrDict, 2),
+                (LabelStorage::CompressedDict, 3)
+            ]
+        );
+    }
 
     #[test]
     fn roundtrips_every_backend_bit_identically() {
@@ -1471,7 +1490,6 @@ mod tests {
         for store in [
             LabelStore::from(LabelSet::new(0)),
             LabelStore::from(LabelSet::new(3)),
-            LabelStore::from(CompressedLabelSet::new(3)),
             LabelStore::from(DictLabelSet::from_lists(&[vec![], vec![]])),
             LabelStore::from(CompressedDictLabelSet::from_lists(&[vec![]])),
         ] {

@@ -73,7 +73,7 @@ use crate::scatter::SourceScatter;
 /// use atd_distance::{BuildConfig, LabelStorage};
 /// // Sequential build that keeps its labels compressed:
 /// let config = BuildConfig {
-///     storage: LabelStorage::Compressed,
+///     storage: LabelStorage::CompressedDict,
 ///     ..BuildConfig::sequential()
 /// };
 /// assert_eq!(config.threads, Some(1));
@@ -86,8 +86,8 @@ pub struct BuildConfig {
     /// Upper bound on hubs per rank batch; batches ramp `1, 2, 4, …` up to
     /// this cap.
     pub batch_size: usize,
-    /// Physical label representation the built index keeps — flat CSR or
-    /// delta+varint ranks × flat `f64` or dictionary-coded distances
+    /// Physical label representation the built index keeps — flat CSR,
+    /// or flat or delta+varint ranks with dictionary-coded distances
     /// (see [`LabelStorage`]). Queries are bit-identical for every
     /// backend; this trades memory footprint against per-entry decode
     /// work.
@@ -400,12 +400,11 @@ impl PrunedLandmarkLabeling {
         }
 
         // The journaled labels convert straight into the configured
-        // storage — the compressed paths never materialize the CSR
+        // storage — the compressed path never materializes the CSR
         // arrays, and the dict paths never materialize the flat f64
         // distance array.
         let labels = match config.storage {
             LabelStorage::Csr => LabelStore::Csr(labels.finish()),
-            LabelStorage::Compressed => LabelStore::Compressed(labels.finish_compressed()),
             LabelStorage::CsrDict => LabelStore::CsrDict(labels.finish_csr_dict()),
             LabelStorage::CompressedDict => {
                 LabelStore::CompressedDict(labels.finish_compressed_dict())

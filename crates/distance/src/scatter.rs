@@ -17,14 +17,13 @@
 //!
 //! Every label storage backend is supported: against the flat CSR
 //! backend the target pass reads ranks directly from the slice; against
-//! the compressed backend
-//! ([`CompressedLabelSet`](crate::codec::CompressedLabelSet)) it decodes
-//! the target's delta+varint block in the same single forward pass,
-//! accumulating ranks as it goes; against the dictionary-distance
-//! backends ([`DictLabelSet`](crate::dict::DictLabelSet),
+//! the dictionary-distance backends
+//! ([`DictLabelSet`](crate::dict::DictLabelSet),
 //! [`CompressedDictLabelSet`](crate::dict::CompressedDictLabelSet)) the
 //! source's label is decoded to the `f64` scratch **once** at load time,
-//! so the per-holder hot loop pays at most one table lookup per entry.
+//! so the per-holder hot loop pays at most one table lookup per entry,
+//! and the compressed one decodes the target's delta+varint block in the
+//! same single forward pass, accumulating ranks as it goes.
 //! The scatter array is direct-indexed identically in all cases, so the
 //! sums (and their bits) cannot differ.
 
@@ -107,7 +106,7 @@ impl SourceScatter {
     }
 
     /// Loads `source`'s label, replacing any previous source. For the
-    /// compressed and dictionary backends this is the **one-time
+    /// dictionary backends this is the **one-time
     /// per-source scatter decode**: the block (and any dict codes) is
     /// decoded to the `f64` scratch once here, after which every target
     /// query direct-indexes the scatter array without touching the
@@ -120,12 +119,6 @@ impl SourceScatter {
                 for (&rank, &dist) in label.hub_ranks.iter().zip(label.dists) {
                     self.hub_dist[rank as usize] = dist;
                     self.touched.push(rank);
-                }
-            }
-            LabelStore::Compressed(l) => {
-                for e in l.decode(source) {
-                    self.hub_dist[e.hub_rank as usize] = e.dist;
-                    self.touched.push(e.hub_rank);
                 }
             }
             LabelStore::CsrDict(l) => {
@@ -192,14 +185,6 @@ impl SourceScatter {
                 let label = l.of(target);
                 for (&rank, &dist) in label.hub_ranks.iter().zip(label.dists) {
                     let d = self.hub_dist[rank as usize] + dist;
-                    if d < best {
-                        best = d;
-                    }
-                }
-            }
-            LabelStore::Compressed(l) => {
-                for e in l.decode(target) {
-                    let d = self.hub_dist[e.hub_rank as usize] + e.dist;
                     if d < best {
                         best = d;
                     }
@@ -275,7 +260,6 @@ fn varint_dict_scan<C: DistCode>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::CompressedLabelSet;
     use crate::label::LabelSet;
 
     fn e(hub_rank: u32, dist: f64) -> LabelEntry {
@@ -295,15 +279,10 @@ mod tests {
         LabelStore::from(LabelSet::from_lists(&lists()))
     }
 
-    fn fixture_compressed() -> LabelStore {
-        LabelStore::from(CompressedLabelSet::from_lists(&lists()))
-    }
-
     fn fixtures_all() -> Vec<LabelStore> {
         use crate::dict::{CompressedDictLabelSet, DictLabelSet};
         vec![
             fixture(),
-            fixture_compressed(),
             LabelStore::from(DictLabelSet::from_lists(&lists())),
             LabelStore::from(CompressedDictLabelSet::from_lists(&lists())),
         ]

@@ -1,8 +1,7 @@
 //! The storage codecs' contract: delta+varint and dictionary round-trips
 //! are lossless (`encode → decode` reproduces every rank and every
 //! distance bit), the builder-direct conversions
-//! ([`LabelSetBuilder::finish_compressed`],
-//! [`LabelSetBuilder::finish_csr_dict`],
+//! ([`LabelSetBuilder::finish`], [`LabelSetBuilder::finish_csr_dict`],
 //! [`LabelSetBuilder::finish_compressed_dict`]) match both the CSR
 //! conversion and the list encoders, and the pairwise merge-join of
 //! **every** storage backend is bit-identical to the CSR engine — on
@@ -11,8 +10,8 @@
 //! repetition (the case dictionary codes exist for).
 
 use atd_distance::{
-    CompressedDictLabelSet, CompressedLabelSet, DictLabelSet, LabelEntry, LabelSet,
-    LabelSetBuilder, LabelStorage, LabelStore,
+    CompressedDictLabelSet, DictLabelSet, LabelEntry, LabelSet, LabelSetBuilder, LabelStorage,
+    LabelStore,
 };
 use proptest::prelude::*;
 
@@ -67,10 +66,26 @@ fn random_lists() -> impl Strategy<Value = Vec<Vec<LabelEntry>>> {
 fn stores(lists: &[Vec<LabelEntry>]) -> Vec<LabelStore> {
     vec![
         LabelStore::from(LabelSet::from_lists(lists)),
-        LabelStore::from(CompressedLabelSet::from_lists(lists)),
         LabelStore::from(DictLabelSet::from_lists(lists)),
         LabelStore::from(CompressedDictLabelSet::from_lists(lists)),
     ]
+}
+
+/// A builder journaling `lists` the way PLL construction does: pushes
+/// interleave across nodes in global rank order.
+fn journal(lists: &[Vec<LabelEntry>]) -> LabelSetBuilder {
+    let mut flat: Vec<(usize, LabelEntry)> = Vec::new();
+    for (v, list) in lists.iter().enumerate() {
+        for &entry in list {
+            flat.push((v, entry));
+        }
+    }
+    flat.sort_by_key(|&(v, entry)| (entry.hub_rank, v));
+    let mut b = LabelSetBuilder::new(lists.len());
+    for (v, entry) in flat {
+        b.push(v, entry);
+    }
+    b
 }
 
 proptest! {
@@ -105,39 +120,23 @@ proptest! {
         }
     }
 
-    /// All three construction paths produce the same store: list encoder,
-    /// CSR re-encoder, and the builder-direct conversion (which never
-    /// materializes the CSR arrays).
+    /// The builder-direct conversions (which never materialize the CSR
+    /// arrays or the flat f64 distance array) write the same bytes as
+    /// the list encoders — every plane, not just the decoded entries.
     #[test]
     fn construction_paths_agree(lists in random_lists()) {
-        let via_lists = CompressedLabelSet::from_lists(&lists);
-        let csr = LabelSet::from_lists(&lists);
-        let via_csr = CompressedLabelSet::from_label_set(&csr);
-
-        // Builder pushes interleave across nodes in global rank order,
-        // the way PLL construction journals entries.
-        let mut flat: Vec<(usize, LabelEntry)> = Vec::new();
-        for (v, list) in lists.iter().enumerate() {
-            for &entry in list {
-                flat.push((v, entry));
-            }
+        let direct = [
+            LabelStore::from(journal(&lists).finish()),
+            LabelStore::from(journal(&lists).finish_csr_dict()),
+            LabelStore::from(journal(&lists).finish_compressed_dict()),
+        ];
+        for (via_lists, via_builder) in stores(&lists).iter().zip(&direct) {
+            prop_assert_eq!(
+                via_lists.to_bytes(0),
+                via_builder.to_bytes(0),
+                "{:?}", via_lists.storage()
+            );
         }
-        flat.sort_by_key(|&(v, entry)| (entry.hub_rank, v));
-        let mut b = LabelSetBuilder::new(lists.len());
-        for (v, entry) in flat {
-            b.push(v, entry);
-        }
-        let via_builder = b.finish_compressed();
-
-        for v in 0..lists.len() {
-            let a: Vec<LabelEntry> = via_lists.decode(v).collect();
-            let b: Vec<LabelEntry> = via_csr.decode(v).collect();
-            let c: Vec<LabelEntry> = via_builder.decode(v).collect();
-            prop_assert_eq!(&a, &b, "from_label_set differs at node {}", v);
-            prop_assert_eq!(&a, &c, "finish_compressed differs at node {}", v);
-        }
-        prop_assert_eq!(via_lists.stats(), via_csr.stats());
-        prop_assert_eq!(via_lists.stats(), via_builder.stats());
     }
 
     /// Pairwise queries of every backend are bit-identical to the CSR
@@ -166,20 +165,7 @@ proptest! {
     #[test]
     fn dict_construction_paths_agree(lists in random_lists()) {
         let csr = LabelSet::from_lists(&lists);
-        let build = || {
-            let mut flat: Vec<(usize, LabelEntry)> = Vec::new();
-            for (v, list) in lists.iter().enumerate() {
-                for &entry in list {
-                    flat.push((v, entry));
-                }
-            }
-            flat.sort_by_key(|&(v, entry)| (entry.hub_rank, v));
-            let mut b = LabelSetBuilder::new(lists.len());
-            for (v, entry) in flat {
-                b.push(v, entry);
-            }
-            b
-        };
+        let build = || journal(&lists);
 
         let d_lists = DictLabelSet::from_lists(&lists);
         let d_csr = DictLabelSet::from_label_set(&csr);

@@ -8,9 +8,8 @@
 
 use atd_distance::persist::{checksum, HEADER_LEN};
 use atd_distance::{
-    graph_fingerprint, BuildConfig, CompressedDictLabelSet, CompressedLabelSet, DictLabelSet,
-    LabelEntry, LabelSet, LabelStorage, LabelStore, PersistError, PrunedLandmarkLabeling,
-    VertexOrder,
+    graph_fingerprint, BuildConfig, CompressedDictLabelSet, DictLabelSet, LabelEntry, LabelSet,
+    LabelStorage, LabelStore, PersistError, PrunedLandmarkLabeling, VertexOrder,
 };
 use atd_graph::{ExpertGraph, GraphBuilder};
 use proptest::prelude::*;
@@ -73,7 +72,6 @@ fn random_lists() -> impl Strategy<Value = Vec<Vec<LabelEntry>>> {
 fn stores(lists: &[Vec<LabelEntry>]) -> Vec<LabelStore> {
     vec![
         LabelStore::from(LabelSet::from_lists(lists)),
-        LabelStore::from(CompressedLabelSet::from_lists(lists)),
         LabelStore::from(DictLabelSet::from_lists(lists)),
         LabelStore::from(CompressedDictLabelSet::from_lists(lists)),
     ]

@@ -11,8 +11,8 @@
 
 use atd_distance::persist::{checksum, HEADER_LEN};
 use atd_distance::{
-    CompressedDictLabelSet, CompressedLabelSet, DictLabelSet, LabelEntry, LabelSet, LabelStore,
-    MmapRegion, PersistError, PrunedLandmarkLabeling,
+    CompressedDictLabelSet, DictLabelSet, LabelEntry, LabelSet, LabelStore, MmapRegion,
+    PersistError, PrunedLandmarkLabeling,
 };
 use proptest::prelude::*;
 
@@ -61,7 +61,6 @@ fn random_lists() -> impl Strategy<Value = Vec<Vec<LabelEntry>>> {
 fn stores(lists: &[Vec<LabelEntry>]) -> Vec<LabelStore> {
     vec![
         LabelStore::from(LabelSet::from_lists(lists)),
-        LabelStore::from(CompressedLabelSet::from_lists(lists)),
         LabelStore::from(DictLabelSet::from_lists(lists)),
         LabelStore::from(CompressedDictLabelSet::from_lists(lists)),
     ]
@@ -214,6 +213,11 @@ fn header_field_corruption_yields_the_matching_error() {
     bad_tag[6] = 17;
     assert!(matches!(load(&bad_tag), PersistError::BadStorageTag(17)));
 
+    // Tag 1 named the removed varint-ranks/flat-dists backend.
+    let mut removed_tag = bytes.clone();
+    removed_tag[6] = 1;
+    assert!(matches!(load(&removed_tag), PersistError::BadStorageTag(1)));
+
     let mut bad_reserved = bytes.clone();
     bad_reserved[7] = 1;
     assert!(matches!(load(&bad_reserved), PersistError::Corrupt(_)));
@@ -270,12 +274,13 @@ fn nonzero_plane_padding_is_rejected() {
 
 #[test]
 fn malformed_varint_block_is_rejected_not_panicking() {
-    // Compressed v2 layout: max-rank word (8), offsets (8+8),
+    // Compressed-dict v2 layout: max-rank word (8), offsets (8+8),
     // byte_offsets (8+8), then the rank-byte block (8-byte length
-    // prefix + one varint byte). Setting that varint's continuation bit
-    // leaves the block truncated mid-varint — exactly what the
-    // unchecked hot-path decoder would have walked off the end of.
-    let store = LabelStore::from(CompressedLabelSet::from_lists(&[vec![e(0, 0.5)]]));
+    // prefix + one varint byte), then the dictionary. Setting that
+    // varint's continuation bit leaves the block truncated mid-varint —
+    // exactly what the unchecked hot-path decoder would have walked off
+    // the end of.
+    let store = LabelStore::from(CompressedDictLabelSet::from_lists(&[vec![e(0, 0.5)]]));
     let mut bytes = store.to_bytes(HASH);
     let rank_byte = HEADER_LEN + 8 + 16 + 16 + 8;
     assert_eq!(bytes[rank_byte], 0x00, "rank 0 encodes as one zero byte");

@@ -4,7 +4,7 @@
 //! experiments [fig3|fig4|fig5|fig6|runtime|venue|ablation|serve|all]
 //!             [--scale tiny|small|medium|paper] [--out DIR]
 //!             [--pll-threads N] [--pll-batch N]
-//!             [--pll-storage csr|compressed|csr-dict|compressed-dict]
+//!             [--pll-storage csr|csr-dict|compressed-dict]
 //!             [--pll-load FILE] [--pll-save FILE] [--pll-mmap]
 //!             [--mutate N]
 //! ```
@@ -12,8 +12,8 @@
 //! Default: `all --scale small --out results`. `--pll-threads` /
 //! `--pll-batch` pin the parallel PLL builder's configuration so
 //! cold-start (index construction) time can be measured end-to-end;
-//! `--pll-storage` selects the label storage backend (flat CSR or
-//! delta+varint hub ranks × flat `f64` or dictionary-coded distances;
+//! `--pll-storage` selects the label storage backend (flat CSR, or flat
+//! or delta+varint hub ranks with dictionary-coded distances;
 //! the accepted names come from `LabelStorage::NAMES`, the same table
 //! the parser reads). `--pll-load` points at a persistent index file:
 //! load it when its snapshot fingerprint matches, else build and save it

@@ -30,7 +30,7 @@
 //!   worker that dies anyway is respawned by the supervisor;
 //! * a **deterministic fault-injection harness** ([`faultpoint`], behind
 //!   the `fault-injection` feature) so all of the above is tested with
-//!   forced failures, not hoped-for ones;
+//!   forced failures, not hoped-for ones (points listed below);
 //! * a **durable publish path** ([`DurableService`]): mutations are
 //!   applied through `atd-store`'s write-ahead journal and the serving
 //!   snapshot swaps only after the record is on disk, so no
@@ -42,17 +42,35 @@
 //! snapshot's engine — concurrency changes throughput, never answers.
 //! See `src/README.md` for the snapshot lifecycle and the failure-mode
 //! table.
+//!
+//! ## Faultpoints
+//!
+//! [`faultpoint`] is `atd-store`'s registry, re-exported: this crate's
+//! `fault-injection` feature turns on the store's, so one feature flag
+//! arms the whole publish chain, including the journal's own points
+//! (`store.wal_append`, `store.checkpoint`, `store.manifest_publish`).
+//! The points this crate plants:
+//!
+//! | name                  | site                                   | armed effect |
+//! |-----------------------|----------------------------------------|--------------|
+//! | `serve.request`       | inside the worker's `catch_unwind`     | panic → `QueryPanicked`; delay → slow query |
+//! | `serve.worker`        | worker loop, *outside* `catch_unwind`  | panic → worker dies → supervisor respawn |
+//! | `serve.snapshot_load` | snapshot publication closure           | I/O error / panic → swap failure, old snapshot keeps serving |
+//! | `serve.wal_append`    | durable publish path, before the journal append | I/O error → mutation rejected un-acknowledged; panic → killed publisher |
+//! | `serve.incremental_patch` | durable publish path, after the ack, before the incremental label patch | panic → killed publisher mid-patch; recovery must fall back to a full rebuild bit-identically |
+//! | `serve.admission`     | entry of `QueryService::submit`, before any shed decision | panic → submitting client dies (service unharmed); delay → slow admission |
+//! | `serve.brownout`      | inside every brownout latency observation (worker, after the reply is sent) | panic → worker dies on the stats path → supervisor respawn, answer already delivered; delay → slow bookkeeping, queries unaffected |
 
 pub mod admission;
 pub mod durable;
 pub mod error;
-pub mod faultpoint;
 mod queue;
 pub mod service;
 pub mod snapshot;
 pub mod stats;
 
 pub use admission::{AdmissionConfig, BrownoutConfig, BrownoutTier, Priority};
+pub use atd_store::faultpoint;
 pub use durable::{
     AppendReceipt, DurableConfig, DurableError, DurableService, JournalConfig, RecoveryReport,
 };

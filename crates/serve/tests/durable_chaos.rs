@@ -5,9 +5,9 @@
 //! is lost** (the recovered fingerprint and top-k query bits equal an
 //! uninterrupted run's) and **the service always restarts serving**.
 //!
-//! Each test arms only its own faultpoint and disarms it; both
-//! registries (serve's and store's) are process-global, so `reset()`
-//! would race sibling tests.
+//! Each test arms only its own faultpoint and disarms it; the registry
+//! (shared by serve's and store's points) is process-global, so
+//! `reset()` would race sibling tests.
 #![cfg(feature = "fault-injection")]
 
 mod common;
@@ -93,9 +93,9 @@ fn assert_serves_uninterrupted_state(
 /// restart recovers exactly the acknowledged prefix.
 #[test]
 fn append_faults_reject_unacknowledged_and_recovery_keeps_the_acked_prefix() {
-    for (tag, arm_point) in [
-        ("serve_append", None),
-        ("store_append", Some("store.wal_append")),
+    for (tag, point) in [
+        ("serve_append", "serve.wal_append"),
+        ("store_append", "store.wal_append"),
     ] {
         let net = common::network(31);
         let dir = tempdir(tag);
@@ -106,24 +106,12 @@ fn append_faults_reject_unacknowledged_and_recovery_keeps_the_acked_prefix() {
         let d1 = delta(0, 1, 0.3);
         let r1 = service.publish_mutation(&d1).unwrap();
 
-        match arm_point {
-            None => atd_serve::faultpoint::arm(
-                "serve.wal_append",
-                atd_serve::FaultPlan::next(atd_serve::Fault::IoError("disk gone"), 1),
-            ),
-            Some(p) => atd_store::faultpoint::arm(
-                p,
-                atd_store::faultpoint::FaultPlan::next(
-                    atd_store::faultpoint::Fault::IoError("disk gone"),
-                    1,
-                ),
-            ),
-        }
+        atd_serve::faultpoint::arm(
+            point,
+            atd_serve::FaultPlan::next(atd_serve::Fault::IoError("disk gone"), 1),
+        );
         let err = service.publish_mutation(&delta(0, 2, 0.7)).unwrap_err();
-        match arm_point {
-            None => atd_serve::faultpoint::disarm("serve.wal_append"),
-            Some(p) => atd_store::faultpoint::disarm(p),
-        }
+        atd_serve::faultpoint::disarm(point);
         assert!(
             matches!(err, DurableError::Store(_)),
             "{tag}: an append fault must mean not-acknowledged, got {err:?}"

@@ -19,8 +19,8 @@ use std::time::Instant;
 use team_discovery::dblp::graph_build::{BuildConfig, ExpertNetwork};
 use team_discovery::dblp::synth::{SynthConfig, SynthCorpus};
 use team_discovery::distance::{
-    BuildConfig as PllBuildConfig, CompressedDictLabelSet, CompressedLabelSet, DictLabelSet,
-    LabelStorage, LabelStore, PrunedLandmarkLabeling, VertexOrder,
+    BuildConfig as PllBuildConfig, CompressedDictLabelSet, DictLabelSet, LabelStorage, LabelStore,
+    PrunedLandmarkLabeling, VertexOrder,
 };
 
 /// `(RssAnon, RssFile)` in KiB from `/proc/self/status` (Linux); `None`
@@ -135,7 +135,6 @@ fn main() {
     for storage in LabelStorage::ALL {
         let store = match storage {
             LabelStorage::Csr => seq.labels().clone(),
-            LabelStorage::Compressed => LabelStore::from(CompressedLabelSet::from_label_set(csr)),
             LabelStorage::CsrDict => LabelStore::from(DictLabelSet::from_label_set(csr)),
             LabelStorage::CompressedDict => {
                 LabelStore::from(CompressedDictLabelSet::from_label_set(csr))
